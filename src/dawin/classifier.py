@@ -103,6 +103,26 @@ def unpack(arch: MlpArchitecture, theta: ParamVector | np.ndarray) -> list[tuple
     return layers
 
 
+def _unpack_stack(arch: MlpArchitecture, thetas: np.ndarray, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """unpack for an (n, P) stack: W views of shape (n, fan_in, fan_out) and
+    b views of shape (n, 1, fan_out). Kept apart from unpack, which every
+    SGD step calls, so that the one-vector path pays nothing for stacks."""
+    if thetas.shape != (n, arch.param_count):
+        raise ValueError(
+            f"expected a ({n}, {arch.param_count}) parameter stack for {arch.layout_id}, "
+            f"got {thetas.shape}"
+        )
+    layers = []
+    offset = 0
+    for fan_in, fan_out in arch.layer_shapes:
+        w = thetas[:, offset : offset + fan_in * fan_out].reshape(n, fan_in, fan_out)
+        offset += fan_in * fan_out
+        b = thetas[:, None, offset : offset + fan_out]
+        offset += fan_out
+        layers.append((w, b))
+    return layers
+
+
 def init_params(arch: MlpArchitecture, rng: np.random.Generator) -> np.ndarray:
     """Uniform(-s, s) weights with s = sqrt(6 / (fan_in + fan_out)); zero biases."""
     chunks = []
@@ -123,14 +143,28 @@ def _check_inputs(arch: MlpArchitecture, x: np.ndarray) -> np.ndarray:
 
 
 def logits_batch(arch: MlpArchitecture, theta: ParamVector | np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Logits of every row of x.
+
+    theta is one flat parameter vector for all rows, or an (n, P) stack that
+    gives row i of x its own parameters theta[i]. A stack runs each layer as a
+    stacked matmul, one (1, fan_in) @ (fan_in, fan_out) product per row: numpy
+    makes the same BLAS call for each slice as for a one-row forward, so row i
+    is bit-identical to logits_batch(arch, theta[i], x[i : i + 1]).
+    """
     x = _check_inputs(arch, x)
-    layers = unpack(arch, theta)
+    stacked = not isinstance(theta, ParamVector) and np.ndim(theta) == 2
+    if stacked:
+        layers = _unpack_stack(arch, np.asarray(theta, dtype=np.float64), x.shape[0])
+        h = x[:, None, :]
+    else:
+        layers = unpack(arch, theta)
+        h = x
     act, _ = _ACTIVATIONS[arch.activation]
-    h = x
     for w, b in layers[:-1]:
         h = act(h @ w + b)
     w_out, b_out = layers[-1]
-    return h @ w_out + b_out
+    logits = h @ w_out + b_out
+    return logits[:, 0, :] if stacked else logits
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -145,7 +179,8 @@ def forward_batch(
     x: np.ndarray,
     temperature: float = 1.0,
 ) -> np.ndarray:
-    """Class probabilities, rows on the simplex. Logits are divided by temperature."""
+    """Class probabilities, rows on the simplex. Logits are divided by temperature.
+    theta is one parameter vector or an (n, P) stack, as in logits_batch."""
     temperature = float(temperature)
     if not np.isfinite(temperature) or temperature <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")

@@ -2,7 +2,7 @@
 
 Subcommands bind the modules into reproducible pipelines: gen, train, coeffs,
 fit-mixture, eval, analyze, suite. Exit codes: 1 for usage errors, 2 for
-data/format errors, and for `suite` the number of failed property checks.
+data/format errors, and 3 when `suite` finds any failed property check.
 Outputs are written atomically; every report embeds the effective config.
 """
 from __future__ import annotations
@@ -35,6 +35,9 @@ from .mixture import dirichlet_em_fit, em_fit, save_mixture
 from .params import checkpoint_id, interpolate_pair, load_checkpoint, save_checkpoint
 
 ROLES = ("pretrain", "finetune", "task")
+# `suite` exit status when any property check fails; 1 and 2 stay the
+# usage and data error statuses, so a crash never reads as a failure count.
+SUITE_FAILED_EXIT = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -337,8 +340,8 @@ def cmd_suite(args, config) -> int:
         report.property_checks = list(checks)
         harness.emit_report(report, _out_path(args.out))
     failed = harness.failed_checks(checks)
-    print(f"{len(checks) - failed}/{len(checks)} checks passed")
-    return failed
+    print(f"{len(checks) - failed}/{len(checks)} checks passed, {failed} failed")
+    return SUITE_FAILED_EXIT if failed else 0
 
 
 def _effective_config(args, config, options: MergeOptions) -> dict:
@@ -448,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("suite", help="run the property suite; exit code = failures")
+    p = sub.add_parser("suite", help=f"run the property suite; exit {SUITE_FAILED_EXIT} on any failure")
     eval_like(p, with_tasks=True)
     p.add_argument("--out", help="optional property-check report JSON path")
     p.set_defaults(func=cmd_suite)

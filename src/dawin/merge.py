@@ -34,10 +34,21 @@ from .mixture import (
     em_fit,
     infer_membership,
 )
-from .params import ParamVector, TaskVector, check_compatible, combine_task_vectors, interpolate_pair
+from .params import (
+    ParamVector,
+    TaskVector,
+    check_compatible,
+    combine_task_vector_rows,
+    combine_task_vectors,
+    interpolate_pair,
+)
 from .util import atomic_write
 
 DEFAULT_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
+
+# Rows per stacked forward in the per-sample strategies: each step builds
+# STACK_ROWS merged parameter vectors and runs them in one forward call.
+STACK_ROWS = 16
 
 STRATEGY_KINDS = (
     "zs",
@@ -172,10 +183,16 @@ def _model_probs(
     return raw, ents
 
 
-def _chunks(n: int, batch_size: int | None):
+def _chunks(n: int, batch_size: int | None, min_tail: int):
+    """Index chunks of batch_size rows (all n rows when None). A tail shorter
+    than min_tail, too short for the chunk's statistics, joins the chunk
+    before it."""
     step = batch_size or n
-    for start in range(0, n, step):
-        yield np.arange(start, min(start + step, n))
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] < min_tail:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [n]):
+        yield np.arange(start, stop)
 
 
 def _apply_wise_scale(lam: np.ndarray, scale: float | None) -> np.ndarray:
@@ -192,24 +209,25 @@ def _pair_lambdas(h0: np.ndarray, h1: np.ndarray, options: MergeOptions) -> np.n
     return _apply_wise_scale(np.asarray(lam, dtype=np.float64), options.wise_scale)
 
 
-def _forward_merged_per_sample(
-    arch: MlpArchitecture,
-    theta0: ParamVector,
-    theta1: ParamVector,
-    x: np.ndarray,
-    lam: np.ndarray,
-    probs_out: np.ndarray,
-    idx: np.ndarray,
-) -> None:
-    # Reused buffers: one merge is two scaled copies and an add, no fresh
-    # allocation per sample.
-    buf = np.empty_like(theta0.values)
-    tmp = np.empty_like(buf)
-    for local, i in enumerate(idx):
-        np.multiply(theta0.values, 1.0 - lam[local], out=buf)
-        np.multiply(theta1.values, lam[local], out=tmp)
-        buf += tmp
-        probs_out[i] = forward_batch(arch, buf, x[i : i + 1])[0]
+def _per_sample_probs(arch: MlpArchitecture, x: np.ndarray, merged_rows) -> np.ndarray:
+    """Probabilities of each row of x under its own merged model.
+
+    merged_rows(rows) returns the (len, P) stack of merged parameter vectors
+    for the rows selected by the slice; STACK_ROWS of them are built and run
+    through one stacked forward at a time.
+    """
+    probs = np.empty((x.shape[0], arch.class_count))
+    for start in range(0, x.shape[0], STACK_ROWS):
+        rows = slice(start, start + STACK_ROWS)
+        probs[rows] = forward_batch(arch, merged_rows(rows), x[rows])
+    return probs
+
+
+def _interpolated_rows(theta0: ParamVector, theta1: ParamVector, lam: np.ndarray) -> np.ndarray:
+    """theta0 * (1 - lam[i]) + theta1 * lam[i] for each i, as an (n, P) stack."""
+    merged = np.multiply(theta0.values, (1.0 - lam)[:, None])
+    merged += np.multiply(theta1.values, lam[:, None])
+    return merged
 
 
 # ----- plain and static strategies ----------------------------------------------
@@ -342,11 +360,13 @@ def dawin_sample_eval(
     probs = np.empty((n, arch.class_count))
     chosen = np.empty(n)
     merge_count = 0
-    for idx in _chunks(n, options.batch_size):
+    for idx in _chunks(n, options.batch_size, min_tail=2):
         _, ents = _model_probs(arch, [theta0, theta1], domain.x[idx], options.temperatures)
         lam = _pair_lambdas(ents[:, 0], ents[:, 1], options)
         chosen[idx] = lam
-        _forward_merged_per_sample(arch, theta0, theta1, domain.x, lam, probs, idx)
+        probs[idx] = _per_sample_probs(
+            arch, domain.x[idx], lambda sl: _interpolated_rows(theta0, theta1, lam[sl])
+        )
         merge_count += len(idx)
     return StrategyResult(
         strategy="dawin_sample",
@@ -377,7 +397,7 @@ def dawin_clustered_eval(
     chosen = np.empty(n)
     merge_count = 0
     chunk_count = 0
-    for idx in _chunks(n, options.batch_size):
+    for idx in _chunks(n, options.batch_size, min_tail=max(k, 2)):
         _, ents = _model_probs(arch, [theta0, theta1], domain.x[idx], options.temperatures)
         lam = _pair_lambdas(ents[:, 0], ents[:, 1], options)
         model = em_fit(lam, k, seed=options.seed)
@@ -430,10 +450,10 @@ def dawin_task_arith_eval(
     chosen = np.empty((n, m))
     merge_count = 0
     if k is None:
-        for i in range(n):
-            merged = combine_task_vectors(theta0, lambda0, rows[i], list(taus))
-            probs[i] = forward_batch(arch, merged.values, domain.x[i : i + 1])[0]
-            merge_count += 1
+        probs = _per_sample_probs(
+            arch, domain.x, lambda sl: combine_task_vector_rows(theta0, lambda0, rows[sl], taus)
+        )
+        merge_count = n
         chosen[:] = rows
     else:
         model = dirichlet_em_fit(rows, k, seed=options.seed)
@@ -527,8 +547,9 @@ def oracle_sample_eval(
     p0 = forward_batch(arch, theta0, domain.x)
     p1 = forward_batch(arch, theta1, domain.x)
     lam = np.asarray(oracle_coeff(p0[rows, domain.y], p1[rows, domain.y]))
-    probs = np.empty((n, arch.class_count))
-    _forward_merged_per_sample(arch, theta0, theta1, domain.x, lam, probs, rows)
+    probs = _per_sample_probs(
+        arch, domain.x, lambda sl: _interpolated_rows(theta0, theta1, lam[sl])
+    )
     return StrategyResult(
         strategy="oracle_sample",
         domain=domain.name,

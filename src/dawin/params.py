@@ -110,23 +110,44 @@ def combine_task_vectors(
     taus: Sequence[TaskVector],
 ) -> ParamVector:
     """theta_0 + lambda_0 * sum_j weights[j] * taus[j]."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 1:
+        raise ValueError(f"expected {len(taus)} weights, got shape {w.shape}")
+    return ParamVector(combine_task_vector_rows(theta_0, lambda_0, w[None, :], taus)[0],
+                       theta_0.layout_id)
+
+
+def combine_task_vector_rows(
+    theta_0: ParamVector,
+    lambda_0: float,
+    weights: np.ndarray,
+    taus: Sequence[TaskVector],
+) -> np.ndarray:
+    """One merged vector per row of the (n, M) weights, as an (n, P) stack.
+
+    Row i is theta_0 + sum_j (lambda_0 * weights[i, j]) * taus[j], added in
+    task order: the arithmetic combine_task_vectors does for one row.
+    """
     lambda_0 = float(lambda_0)
     if not np.isfinite(lambda_0):
         raise ValueError("lambda_0 must be finite")
     w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.shape[0] != len(taus):
-        raise ValueError(f"expected {len(taus)} weights, got shape {w.shape}")
+    if w.ndim != 2 or w.shape[1] != len(taus):
+        raise ValueError(f"expected {len(taus)} weights per row, got shape {w.shape}")
     if not np.all(np.isfinite(w)) or np.any(w < 0.0):
         raise ValueError("task-vector weights must be finite and non-negative")
-    acc = theta_0.values.copy()
-    for weight, tau in zip(w, taus):
+    for tau in taus:
         if tau.base_layout != theta_0.layout_id or len(tau) != len(theta_0):
             raise IncompatibleModelsError(
                 f"task vector (layout {tau.base_layout!r}, len {len(tau)}) does not "
                 f"match base (layout {theta_0.layout_id!r}, len {len(theta_0)})"
             )
-        acc += lambda_0 * weight * tau.delta.values
-    return ParamVector(acc, theta_0.layout_id)
+    acc = np.repeat(theta_0.values[None, :], w.shape[0], axis=0)
+    for j, tau in enumerate(taus):
+        acc += (lambda_0 * w[:, j])[:, None] * tau.delta.values
+    if not np.all(np.isfinite(acc)):
+        raise ValueError("parameter values must be finite")
+    return acc
 
 
 # ----- canonical MLP layout ---------------------------------------------------

@@ -167,3 +167,32 @@ def test_single_sample_calibration_is_finite():
     y = np.array([1])
     t = calibrate_on_logits(logits, y)
     assert np.isfinite(t) and t > 0.0
+
+
+@pytest.mark.parametrize("hidden", [(), (12,), (7, 3, 9)])
+@pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+def test_stacked_logits_match_one_row_forwards(hidden, activation):
+    # n = 37 is not a multiple of the 16-row chunks the merge strategies stack.
+    arch = MlpArchitecture(input_dim=5, hidden_widths=hidden, class_count=4,
+                           activation=activation)
+    rng = np.random.default_rng(11)
+    n = 37
+    thetas = np.stack([init_params(arch, rng) + 0.3 * rng.normal(size=arch.param_count)
+                       for _ in range(n)])
+    x = rng.normal(size=(n, 5))
+    expected = np.stack([forward_batch(arch, thetas[i], x[i : i + 1])[0] for i in range(n)])
+    assert np.array_equal(forward_batch(arch, thetas, x), expected)
+    logits = logits_batch(arch, thetas, x)
+    assert logits.shape == (n, 4)
+    assert np.array_equal(logits[5], logits_batch(arch, thetas[5], x[5:6])[0])
+
+
+def test_stacked_logits_reject_wrong_stack_shape():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(6, 4))
+    thetas = np.zeros((6, ARCH.param_count))
+    for bad in (thetas[:5], thetas[:, :-1], np.zeros((6, ARCH.param_count + 1))):
+        with pytest.raises(ValueError):
+            logits_batch(ARCH, bad, x)
+    with pytest.raises(ValueError):
+        logits_batch(ARCH, thetas[None], x)

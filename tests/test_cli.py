@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import shutil
 import subprocess
 
@@ -165,6 +166,22 @@ def test_analyze_writes_report(cli_env, tmp_path):
     report = load_report(out)
     assert "pooled" in report.entropy_bars
     assert report.splits
+
+
+def test_suite_exit_status_matches_printed_tally(cli_env, tmp_path, capsys):
+    code = cli.main([
+        "suite", "--suite", str(cli_env["suite"]),
+        "--theta0", str(cli_env["zs"]), "--theta1", str(cli_env["ft"]),
+        "--out", str(tmp_path / "checks.json"),
+    ])
+    lines = capsys.readouterr().out.splitlines()
+    tally = re.fullmatch(r"(\d+)/(\d+) checks passed, (\d+) failed", lines[-1])
+    assert tally, lines[-1]
+    passed, total, failed = (int(g) for g in tally.groups())
+    assert passed + failed == total == len(lines) - 1
+    assert failed == sum(not line.startswith("PASS") for line in lines[:-1])
+    assert code == (cli.SUITE_FAILED_EXIT if failed else 0)
+    assert code in (0, 3)
 
 
 def test_console_script_help():

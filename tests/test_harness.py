@@ -145,8 +145,13 @@ def test_strategy_from_kind_defaults():
 
 def test_run_main_dispatches_every_pair_kind(suite0, experts0):
     kinds = [k for k in STRATEGY_KINDS if k != "dawin_task_arith"]
-    report = run_main(suite0, kinds, experts=experts0)
-    assert len(report.rows) == len(kinds) * len(suite0.test_domains)
+    report = run_main(suite0, STRATEGY_KINDS, experts=experts0)
+    task_rows = [r for r in report.rows if r["strategy"] == "dawin_task_arith"]
+    # the multi-task rule runs on the task test splits with K=1: one merge each
+    assert [r["domain"] for r in task_rows] == [s.test.name for s in suite0.mtl_tasks]
+    assert all(r["merge_count"] == 1 for r in task_rows)
+    pair_rows = [r for r in report.rows if r["strategy"] != "dawin_task_arith"]
+    assert len(pair_rows) == len(kinds) * len(suite0.test_domains)
     assert set(report.ood_average) == set(kinds)
     n = suite0.id_test.n_samples
     expect_merges = {
@@ -154,7 +159,7 @@ def test_run_main_dispatches_every_pair_kind(suite0, experts0):
         "static": 1, "wise_sweep": 1, "dawin_clustered": 3,
         "dawin_sample": n, "oracle_sample": n, "oracle_domain": 9,
     }
-    for row in report.rows:
+    for row in pair_rows:
         assert 0.0 <= row["accuracy"] <= 1.0
         if row["domain"] == suite0.id_test.name:
             assert row["merge_count"] == expect_merges[row["strategy"]], row["strategy"]

@@ -3,8 +3,11 @@ import pytest
 
 from dawin.classifier import MlpArchitecture, forward_batch, init_params
 from dawin.databench import Domain
+from dawin.errors import IncompatibleModelsError
+from dawin.expertise import coeff_multi, coeff_pair_offset, entropy, oracle_coeff
 from dawin.merge import (
     DEFAULT_GRID,
+    STACK_ROWS,
     MergeOptions,
     MergeStrategy,
     STRATEGY_KINDS,
@@ -262,3 +265,101 @@ def test_static_half_matches_frozen_reference(suite0, experts0, reference0):
         out = static_eval(experts0.arch, experts0.theta0, experts0.theta1, 0.5, dom)
         got = (out.preds == dom.y).mean()
         assert got == pytest.approx(reference0["static_half_accuracy"][dom.name], abs=1e-12)
+
+
+# ----- stacked per-sample forwards against the one-row loops -------------------
+
+def one_row_interpolated_probs(arch, theta0, theta1, x, lam):
+    """Oracle: the per-sample loop the pair strategies ran before stacking,
+    one merged model and one one-row forward per sample."""
+    buf = np.empty_like(theta0.values)
+    tmp = np.empty_like(buf)
+    probs = np.empty((x.shape[0], arch.class_count))
+    for i in range(x.shape[0]):
+        np.multiply(theta0.values, 1.0 - lam[i], out=buf)
+        np.multiply(theta1.values, lam[i], out=tmp)
+        buf += tmp
+        probs[i] = forward_batch(arch, buf, x[i : i + 1])[0]
+    return probs
+
+
+def one_row_task_arith_probs(arch, theta0, lambda0, rows, taus, x):
+    """Oracle: the k=None loop of dynamic task arithmetic before stacking."""
+    probs = np.empty((x.shape[0], arch.class_count))
+    for i in range(x.shape[0]):
+        merged = theta0.values.copy()
+        for weight, tau in zip(rows[i], taus):
+            merged += lambda0 * weight * tau.delta.values
+        probs[i] = forward_batch(arch, merged, x[i : i + 1])[0]
+    return probs
+
+
+def assert_same_result(out, probs, chosen, n):
+    assert np.array_equal(out.probs, probs)
+    assert np.array_equal(out.preds, probs.argmax(axis=1))
+    assert np.array_equal(out.chosen, chosen)
+    assert out.merge_count == n
+
+
+def check_pair_strategies(arch, theta0, theta1, dom):
+    p0 = forward_batch(arch, theta0, dom.x)
+    p1 = forward_batch(arch, theta1, dom.x)
+    lam, _ = coeff_pair_offset(entropy(p0), entropy(p1))
+    assert_same_result(dawin_sample_eval(arch, theta0, theta1, dom),
+                       one_row_interpolated_probs(arch, theta0, theta1, dom.x, lam),
+                       lam, dom.n_samples)
+    rows = np.arange(dom.n_samples)
+    lam = np.asarray(oracle_coeff(p0[rows, dom.y], p1[rows, dom.y]))
+    assert_same_result(oracle_sample_eval(arch, theta0, theta1, dom),
+                       one_row_interpolated_probs(arch, theta0, theta1, dom.x, lam),
+                       lam, dom.n_samples)
+
+
+def check_task_arith(arch, theta0, experts, taus, dom, lambda0=0.3):
+    rows = coeff_multi(np.stack([entropy(forward_batch(arch, e, dom.x)) for e in experts], axis=1))
+    out = dawin_task_arith_eval(arch, theta0, experts, taus, dom, lambda0=lambda0, k=None)
+    assert_same_result(out, one_row_task_arith_probs(arch, theta0, lambda0, rows, taus, dom.x),
+                       rows, dom.n_samples)
+
+
+def test_stacked_pair_strategies_match_one_row_loop():
+    dom = rand_domain(20, n=3 * STACK_ROWS + 5)
+    check_pair_strategies(ARCH, T0, T1, dom)
+
+
+def test_stacked_task_arith_matches_one_row_loop():
+    experts = [rand_theta(s) for s in (3, 4, 5)]
+    taus = [make_task_vector(e, T0) for e in experts]
+    check_task_arith(ARCH, T0, experts, taus, rand_domain(21, n=2 * STACK_ROWS + 7))
+
+
+def test_stacked_strategies_match_one_row_loop_on_seed0_experts(suite0, experts0):
+    check_pair_strategies(experts0.arch, experts0.theta0, experts0.theta1, suite0.ood_tests[1])
+    check_task_arith(experts0.arch, experts0.theta0, experts0.task_params(),
+                     experts0.task_vectors(), suite0.mtl_tasks[0].test)
+
+
+def test_task_arith_per_sample_rejects_mismatched_task_vector():
+    experts = [rand_theta(s) for s in (3, 4)]
+    other = ParamVector(np.ones(ARCH.param_count), "other")
+    taus = [make_task_vector(experts[0], T0), make_task_vector(other, other)]
+    with pytest.raises(IncompatibleModelsError):
+        dawin_task_arith_eval(ARCH, T0, experts, taus, DOM, k=None)
+
+
+def test_short_tail_chunk_joins_the_previous_chunk():
+    # 33 rows in chunks of 16 leave a 1-row tail, too short for offset statistics.
+    dom = rand_domain(22, n=33)
+    out = dawin_sample_eval(ARCH, T0, T1, dom, MergeOptions(batch_size=16))
+    assert out.merge_count == 33
+    tail = Domain("tail", dom.x[16:], dom.y[16:], dom.shift_spec)
+    alone = dawin_sample_eval(ARCH, T0, T1, tail)
+    assert np.array_equal(out.chosen[16:], alone.chosen)
+    assert np.array_equal(out.probs[16:], alone.probs)
+    # K=3 needs 3 rows per chunk: a 2-row tail folds in, a 3-row tail stands.
+    folded = dawin_clustered_eval(ARCH, T0, T1, rand_domain(23, n=34), k=3,
+                                  options=MergeOptions(batch_size=16))
+    assert folded.extras["chunks"] == 2
+    kept = dawin_clustered_eval(ARCH, T0, T1, rand_domain(23, n=35), k=3,
+                                options=MergeOptions(batch_size=16))
+    assert kept.extras["chunks"] == 3

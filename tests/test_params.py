@@ -9,6 +9,7 @@ from dawin.params import (
     ParamVector,
     TaskVector,
     checkpoint_id,
+    combine_task_vector_rows,
     combine_task_vectors,
     interpolate_pair,
     load_checkpoint,
@@ -184,3 +185,63 @@ def test_bad_magic_rejected(tmp_path):
 def test_param_count_formula():
     # 3->4->2: (3*4+4) + (4*2+2) = 26
     assert mlp_param_count(3, (4,), 2) == 26
+
+
+def _rows_setup():
+    rng = np.random.default_rng(5)
+    theta0 = pv(rng.normal(size=6))
+    taus = [make_task_vector(pv(rng.normal(size=6)), theta0) for _ in range(3)]
+    return theta0, taus
+
+
+def test_combine_rows_match_one_row_combines():
+    theta0, taus = _rows_setup()
+    weights = np.random.default_rng(6).dirichlet(np.ones(3), size=9)
+    stack = combine_task_vector_rows(theta0, 0.3, weights, taus)
+    assert stack.shape == (9, 6)
+    for i in range(9):
+        # the one-row arithmetic: theta0 plus (lambda0 * w_j) * tau_j in task order
+        expected = theta0.values.copy()
+        for w, tau in zip(weights[i], taus):
+            expected += 0.3 * w * tau.delta.values
+        assert np.array_equal(stack[i], expected)
+        assert np.array_equal(combine_task_vectors(theta0, 0.3, weights[i], taus).values, expected)
+
+
+@pytest.mark.parametrize("weights", [
+    [[0.5, -0.1, 0.6]],          # negative
+    [[0.5, np.nan, 0.5]],        # not finite
+    [[0.5, np.inf, 0.5]],
+    [[0.5, 0.5]],                # one weight short of the task count
+    [0.2, 0.3, 0.5],             # a single row, not an (n, M) stack
+])
+def test_combine_rows_rejects_bad_weights(weights):
+    theta0, taus = _rows_setup()
+    with pytest.raises(ValueError):
+        combine_task_vector_rows(theta0, 0.3, np.array(weights), taus)
+
+
+def test_combine_rows_rejects_non_finite_lambda0():
+    theta0, taus = _rows_setup()
+    with pytest.raises(ValueError, match="lambda_0"):
+        combine_task_vector_rows(theta0, np.nan, np.full((1, 3), 1 / 3), taus)
+
+
+def test_combine_rows_rejects_mismatched_layout():
+    theta0, taus = _rows_setup()
+    other = pv(np.ones(6), layout="other")
+    foreign = make_task_vector(other, other)
+    short = make_task_vector(pv(np.ones(5)), pv(np.zeros(5)))
+    for bad in (foreign, short):
+        with pytest.raises(IncompatibleModelsError):
+            combine_task_vector_rows(theta0, 0.3, np.full((2, 3), 1 / 3), [taus[0], taus[1], bad])
+
+
+def test_combine_rows_rejects_non_finite_result():
+    theta0 = pv([1e308, 0.0])
+    tau = make_task_vector(pv([1e308, 0.0]), pv([0.0, 0.0]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            combine_task_vector_rows(theta0, 1.0, np.array([[1.0]]), [tau])
+        with pytest.raises(ValueError, match="finite"):
+            combine_task_vectors(theta0, 1.0, [1.0], [tau])
