@@ -446,7 +446,6 @@ def dawin_task_arith_eval(
     m = len(experts)
     _, ents = _model_probs(arch, list(experts), domain.x, options.temperatures)
     rows = coeff_multi(ents)
-    probs = np.empty((n, arch.class_count))
     chosen = np.empty((n, m))
     merge_count = 0
     if k is None:
@@ -456,6 +455,7 @@ def dawin_task_arith_eval(
         merge_count = n
         chosen[:] = rows
     else:
+        probs = np.empty((n, arch.class_count))
         model = dirichlet_em_fit(rows, k, seed=options.seed)
         member = np.atleast_1d(dirichlet_membership(model, rows, options.posterior_membership))
         for j in range(model.k):
