@@ -391,6 +391,11 @@ def dawin_clustered_eval(
     """Coefficient compression: fit a K-component Beta mixture to the
     per-sample coefficients, merge once per component at its mean, and route
     every sample to its membership component."""
+    if options.batch_size is not None and options.batch_size < max(k, 2):
+        raise ValueError(
+            f"batch_size {options.batch_size} is below max(k, 2) = {max(k, 2)}: "
+            "every chunk needs that many rows for a K-component fit"
+        )
     start = time.perf_counter()
     n = domain.n_samples
     probs = np.empty((n, arch.class_count))

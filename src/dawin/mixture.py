@@ -18,6 +18,12 @@ log-likelihood is rolled back and the fit stops there.
 
 The Dirichlet variant runs the same skeleton on simplex rows; the component
 precision comes from the first coordinate's variance.
+
+The E-step works on a component-major (K, n) log-joint: the logs of the
+clipped values are taken once per fit, each iteration fills all K rows in one
+broadcast, and _logsumexp_components reduces the rows with scipy's own
+algorithm, so fits match a column-by-column scipy.special.logsumexp bit for
+bit.
 """
 
 from __future__ import annotations
@@ -102,18 +108,51 @@ def mom_estimate(values: np.ndarray, resp: np.ndarray) -> tuple[float, float]:
     return a, b
 
 
+def _clipped_logs(x) -> tuple[np.ndarray, np.ndarray]:
+    """ln x and ln(1 - x) after clipping x into [1e-6, 1 - 1e-6]."""
+    x = np.clip(np.asarray(x, dtype=np.float64), VALUE_CLIP, 1.0 - VALUE_CLIP)
+    return np.log(x), np.log(1.0 - x)
+
+
+def _beta_log_density(log_x, log_1mx, a, b):
+    """ln Beta(x; a, b) from ln x and ln(1 - x). Scalar shapes give one
+    density; (K, 1) shape columns give a component-major (K, n) block."""
+    const = gammaln(a + b) - gammaln(a) - gammaln(b)
+    return const + (a - 1.0) * log_x + (b - 1.0) * log_1mx
+
+
+def _logsumexp_components(log_joint: np.ndarray) -> np.ndarray:
+    """ln sum_k exp(log_joint[k, i]) for a component-major (K, n) array.
+
+    Bit-identical to scipy.special.logsumexp(x, axis=1) on the C-ordered
+    (n, K) transpose x, because it takes scipy 1.17's steps: the entries equal
+    to the column maximum are taken out of the sum and counted (m), the rest
+    gives s = sum exp(x - max) / m, and the result is log1p(s) + log(m) + max.
+    numpy sums a C-ordered (n, K) row left to right only while K < 8, the
+    order in which the rows of a (K, n) array add; for K >= 8 it sums
+    pairwise, so that case sums a C-ordered (n, K) copy. Where a result is not
+    finite (a column of -inf, an inf or a nan), scipy's own call answers.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_max = log_joint.max(axis=0)
+        is_max = log_joint == a_max
+        m = is_max.sum(axis=0, dtype=np.float64)
+        terms = np.exp(np.where(is_max, -np.inf, log_joint) - a_max)
+        if terms.shape[0] < 8:
+            s = terms.sum(axis=0)
+        else:
+            s = np.ascontiguousarray(terms.T).sum(axis=1)
+        out = np.log1p(s / m) + np.log(m) + a_max
+    if not np.isfinite(out).all():
+        return logsumexp(np.ascontiguousarray(log_joint.T), axis=1)
+    return out
+
+
 def beta_log_pdf(x: np.ndarray | float, a: float, b: float) -> np.ndarray | float:
     """Log Beta(a, b) density; x is clipped into [1e-6, 1 - 1e-6]."""
     if a <= 0.0 or b <= 0.0:
         raise ValueError("shape parameters must be positive")
-    x = np.clip(np.asarray(x, dtype=np.float64), VALUE_CLIP, 1.0 - VALUE_CLIP)
-    out = (
-        gammaln(a + b)
-        - gammaln(a)
-        - gammaln(b)
-        + (a - 1.0) * np.log(x)
-        + (b - 1.0) * np.log(1.0 - x)
-    )
+    out = _beta_log_density(*_clipped_logs(x), a, b)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -142,12 +181,19 @@ class BetaMixtureModel:
         return len(self.components)
 
 
-def _log_joint_beta(values: np.ndarray, comps: list[tuple[float, float, float]]) -> np.ndarray:
-    """(n, K) matrix of ln pi_k + ln Beta(x_i; a_k, b_k)."""
-    cols = [
-        np.log(max(pi, PI_FLOOR)) + beta_log_pdf(values, a, b) for a, b, pi in comps
-    ]
-    return np.stack(cols, axis=1)
+def _log_pi(pis) -> np.ndarray:
+    """(K, 1) column of floored log mixing proportions."""
+    return np.array([np.log(max(pi, PI_FLOOR)) for pi in pis])[:, None]
+
+
+def _log_joint_beta(
+    log_x: np.ndarray, log_1mx: np.ndarray, comps: list[tuple[float, float, float]]
+) -> np.ndarray:
+    """(K, n) matrix of ln pi_k + ln Beta(x_i; a_k, b_k)."""
+    a, b, pi = zip(*comps)
+    return _log_pi(pi) + _beta_log_density(
+        log_x, log_1mx, np.array(a)[:, None], np.array(b)[:, None]
+    )
 
 
 def em_fit(
@@ -169,6 +215,7 @@ def em_fit(
     if k < 1:
         raise ValueError("k must be positive")
     values = np.clip(values, VALUE_CLIP, 1.0 - VALUE_CLIP)
+    log_x, log_1mx = np.log(values), np.log(1.0 - values)
 
     labels = kmeans_1d(values, k, seed)
     comps: list[tuple[float, float, float]] = []
@@ -186,8 +233,8 @@ def em_fit(
     converged = False
     iterations = 0
     for it in range(max_iter):
-        log_joint = _log_joint_beta(values, comps)
-        log_norm = logsumexp(log_joint, axis=1)
+        log_joint = _log_joint_beta(log_x, log_1mx, comps)
+        log_norm = _logsumexp_components(log_joint)
         loglik = float(log_norm.sum())
         if trace and loglik < trace[-1] - 1e-10:
             # Moment-matching step lowered the likelihood; undo and stop.
@@ -199,17 +246,17 @@ def em_fit(
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
             converged = True
             break
-        gamma = np.exp(log_joint - log_norm[:, None])
+        gamma = np.exp(log_joint - log_norm)
         prev_comps = comps
         new_comps = []
         for j in range(k):
-            mass = gamma[:, j].sum()
+            mass = gamma[j].sum()
             if mass < RESP_FLOOR_FRACTION * n:
                 # Starved component: freeze parameters, floor its weight.
                 a, b, _ = comps[j]
                 new_comps.append((a, b, PI_FLOOR))
                 continue
-            a, b = mom_estimate(values, gamma[:, j])
+            a, b = mom_estimate(values, gamma[j])
             new_comps.append((a, b, mass / n))
         comps = _renormalize(new_comps)
 
@@ -233,15 +280,17 @@ def infer_membership(
 ) -> np.ndarray | int:
     """Component index per value: argmax of the Beta density, ties to the
     lower index. posterior=True weighs densities by the mixing proportions."""
-    lam = np.asarray(lam, dtype=np.float64)
-    scores = np.stack(
-        [
-            beta_log_pdf(lam, c.a, c.b) + (np.log(max(c.pi, PI_FLOOR)) if posterior else 0.0)
-            for c in model.components
-        ],
-        axis=-1,
-    )
-    member = scores.argmax(axis=-1)
+    comps = model.components
+    if any(c.a <= 0.0 or c.b <= 0.0 for c in comps):
+        raise ValueError("shape parameters must be positive")
+    log_x, log_1mx = _clipped_logs(lam)
+    column = (-1,) + (1,) * log_x.ndim
+    a = np.array([c.a for c in comps]).reshape(column)
+    b = np.array([c.b for c in comps]).reshape(column)
+    scores = _beta_log_density(log_x, log_1mx, a, b)
+    if posterior:
+        scores = _log_pi([c.pi for c in comps]).reshape(column) + scores
+    member = scores.argmax(axis=0)
     return int(member) if np.ndim(member) == 0 else member
 
 
@@ -287,13 +336,27 @@ def dirichlet_log_pdf(rows: np.ndarray, alpha: np.ndarray) -> np.ndarray | float
     alpha = np.asarray(alpha, dtype=np.float64)
     if np.any(alpha <= 0.0):
         raise ValueError("concentration parameters must be positive")
-    rows = np.clip(np.asarray(rows, dtype=np.float64), VALUE_CLIP, 1.0 - VALUE_CLIP)
-    out = (
-        gammaln(alpha.sum())
-        - gammaln(alpha).sum()
-        + ((alpha - 1.0) * np.log(rows)).sum(axis=-1)
-    )
+    out = _dirichlet_log_density(_clipped_log_rows(rows), alpha)
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _clipped_log_rows(rows) -> np.ndarray:
+    """ln of every coordinate after clipping into [1e-6, 1 - 1e-6]."""
+    return np.log(np.clip(np.asarray(rows, dtype=np.float64), VALUE_CLIP, 1.0 - VALUE_CLIP))
+
+
+def _dirichlet_log_density(log_rows: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """ln Dir(row; alpha) from log rows, summed per row over the M models.
+    An (M,) alpha gives one density per row; a (K, 1, M) stack gives a
+    component-major (K, n) block."""
+    const = gammaln(alpha.sum(axis=-1)) - gammaln(alpha).sum(axis=-1)
+    return const + ((alpha - 1.0) * log_rows).sum(axis=-1)
+
+
+def _log_joint_dirichlet(log_rows: np.ndarray, comps: list[tuple[np.ndarray, float]]) -> np.ndarray:
+    """(K, n) matrix of ln pi_k + ln Dir(row_i; alpha_k)."""
+    alpha = np.stack([alpha for alpha, _ in comps])[:, None, :]
+    return _log_pi([pi for _, pi in comps]) + _dirichlet_log_density(log_rows, alpha)
 
 
 def _dirichlet_mom(rows: np.ndarray, resp: np.ndarray) -> np.ndarray:
@@ -335,6 +398,7 @@ def dirichlet_em_fit(
     if k < 1:
         raise ValueError("k must be positive")
     rows = np.clip(rows, VALUE_CLIP, 1.0 - VALUE_CLIP)
+    log_rows = np.log(rows)
 
     labels = kmeans_1d(rows[:, -1], k, seed)
     global_alpha = _dirichlet_mom(rows, np.ones(n))
@@ -350,11 +414,8 @@ def dirichlet_em_fit(
     converged = False
     iterations = 0
     for it in range(max_iter):
-        log_joint = np.stack(
-            [np.log(max(pi, PI_FLOOR)) + dirichlet_log_pdf(rows, alpha) for alpha, pi in comps],
-            axis=1,
-        )
-        log_norm = logsumexp(log_joint, axis=1)
+        log_joint = _log_joint_dirichlet(log_rows, comps)
+        log_norm = _logsumexp_components(log_joint)
         loglik = float(log_norm.sum())
         if trace and loglik < trace[-1] - 1e-10:
             comps = prev_comps
@@ -365,15 +426,15 @@ def dirichlet_em_fit(
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
             converged = True
             break
-        gamma = np.exp(log_joint - log_norm[:, None])
+        gamma = np.exp(log_joint - log_norm)
         prev_comps = comps
         new_comps = []
         for j in range(k):
-            mass = gamma[:, j].sum()
+            mass = gamma[j].sum()
             if mass < RESP_FLOOR_FRACTION * n:
                 new_comps.append((comps[j][0], PI_FLOOR))
                 continue
-            new_comps.append((_dirichlet_mom(rows, gamma[:, j]), mass / n))
+            new_comps.append((_dirichlet_mom(rows, gamma[j]), mass / n))
         comps = _renormalize_dir(new_comps)
 
     comps = sorted(comps, key=lambda c: c[0][-1] / c[0].sum())
@@ -399,16 +460,13 @@ def dirichlet_membership(
 ) -> np.ndarray | int:
     rows = np.asarray(rows, dtype=np.float64)
     single = rows.ndim == 1
-    rows2 = np.atleast_2d(rows)
-    scores = np.stack(
-        [
-            dirichlet_log_pdf(rows2, np.asarray(c.alpha))
-            + (np.log(max(c.pi, PI_FLOOR)) if posterior else 0.0)
-            for c in model.components
-        ],
-        axis=1,
-    )
-    member = scores.argmax(axis=1)
+    alpha = np.array([c.alpha for c in model.components], dtype=np.float64)
+    if np.any(alpha <= 0.0):
+        raise ValueError("concentration parameters must be positive")
+    scores = _dirichlet_log_density(_clipped_log_rows(np.atleast_2d(rows)), alpha[:, None, :])
+    if posterior:
+        scores = _log_pi([c.pi for c in model.components]) + scores
+    member = scores.argmax(axis=0)
     return int(member[0]) if single else member
 
 

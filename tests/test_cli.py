@@ -137,6 +137,20 @@ def test_usage_errors_exit_1(cli_env, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_clustered_batch_below_k_is_a_usage_error(cli_env, tmp_path, capsys):
+    capsys.readouterr()
+    code = cli.main([
+        "eval", "--suite", str(cli_env["suite"]),
+        "--theta0", str(cli_env["zs"]), "--theta1", str(cli_env["ft"]),
+        "--strategy", "dawin_clustered", "--k", "3", "--batch-size", "2",
+        "--out", str(tmp_path / "r.json"),
+    ])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("usage error: batch_size 2"), err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_missing_suite_exits_2(tmp_path):
     code = cli.main([
         "eval", "--suite", str(tmp_path / "nope"), "--strategy", "zs",

@@ -363,3 +363,11 @@ def test_short_tail_chunk_joins_the_previous_chunk():
     kept = dawin_clustered_eval(ARCH, T0, T1, rand_domain(23, n=35), k=3,
                                 options=MergeOptions(batch_size=16))
     assert kept.extras["chunks"] == 3
+
+
+def test_clustered_rejects_batch_size_below_k():
+    # Every chunk would be too small for a K-component fit: a usage error up front.
+    with pytest.raises(ValueError, match="batch_size 2 is below max"):
+        dawin_clustered_eval(ARCH, T0, T1, DOM, k=3, options=MergeOptions(batch_size=2))
+    out = dawin_clustered_eval(ARCH, T0, T1, DOM, k=3, options=MergeOptions(batch_size=3))
+    assert out.extras["chunks"] == DOM.n_samples // 3

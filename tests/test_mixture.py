@@ -224,3 +224,374 @@ def test_mixture_dict_rejects_garbage():
     del data["components"]
     with pytest.raises(DataFormatError):
         mixture_from_dict(data)
+
+
+# ----- exact oracles: the E-step before the component-major kernel ---------------
+#
+# These are the scalar-per-component implementations the kernel replaced, kept
+# verbatim (only renamed). The kernel must reproduce them bit for bit: equal
+# fitted models (components, loglik trace, iterations, flags) and equal
+# memberships.
+
+from scipy.special import gammaln, logsumexp
+
+from dawin import mixture as mx
+from dawin.mixture import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    PI_FLOOR,
+    RESP_FLOOR_FRACTION,
+    VALUE_CLIP,
+    BetaComponent,
+    DirichletComponent,
+    DirichletMixtureModel,
+    _dirichlet_mom,
+    _logsumexp_components,
+)
+
+
+def _ref_beta_log_pdf(x, a, b):
+    if a <= 0.0 or b <= 0.0:
+        raise ValueError("shape parameters must be positive")
+    x = np.clip(np.asarray(x, dtype=np.float64), VALUE_CLIP, 1.0 - VALUE_CLIP)
+    out = (
+        gammaln(a + b)
+        - gammaln(a)
+        - gammaln(b)
+        + (a - 1.0) * np.log(x)
+        + (b - 1.0) * np.log(1.0 - x)
+    )
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _ref_log_joint_beta(values, comps):
+    cols = [
+        np.log(max(pi, PI_FLOOR)) + _ref_beta_log_pdf(values, a, b) for a, b, pi in comps
+    ]
+    return np.stack(cols, axis=1)
+
+
+def _ref_em_fit(values, k, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0):
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError("em_fit expects a vector of coefficients")
+    if np.any(values < 0.0) or np.any(values > 1.0):
+        raise ValueError("coefficients must lie in [0, 1]")
+    n = values.shape[0]
+    if n < max(k, 2):
+        raise InsufficientSamplesError(f"need at least {max(k, 2)} values, got {n}")
+    if k < 1:
+        raise ValueError("k must be positive")
+    values = np.clip(values, VALUE_CLIP, 1.0 - VALUE_CLIP)
+
+    labels = kmeans_1d(values, k, seed)
+    comps = []
+    global_shapes = mom_estimate(values, np.ones(n))
+    for j in range(k):
+        mask = labels == j
+        pi = mask.sum() / n
+        shapes = mom_estimate(values, mask.astype(np.float64)) if mask.any() else global_shapes
+        comps.append((shapes[0], shapes[1], pi))
+    comps = _ref_renormalize(comps)
+
+    trace = []
+    converged = False
+    iterations = 0
+    for it in range(max_iter):
+        log_joint = _ref_log_joint_beta(values, comps)
+        log_norm = logsumexp(log_joint, axis=1)
+        loglik = float(log_norm.sum())
+        if trace and loglik < trace[-1] - 1e-10:
+            comps = prev_comps
+            converged = True
+            break
+        trace.append(loglik)
+        iterations = it + 1
+        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
+            converged = True
+            break
+        gamma = np.exp(log_joint - log_norm[:, None])
+        prev_comps = comps
+        new_comps = []
+        for j in range(k):
+            mass = gamma[:, j].sum()
+            if mass < RESP_FLOOR_FRACTION * n:
+                a, b, _ = comps[j]
+                new_comps.append((a, b, PI_FLOOR))
+                continue
+            a, b = mom_estimate(values, gamma[:, j])
+            new_comps.append((a, b, mass / n))
+        comps = _ref_renormalize(new_comps)
+
+    comps = sorted(comps, key=lambda c: c[0] / (c[0] + c[1]))
+    return BetaMixtureModel(
+        components=tuple(BetaComponent(a=a, b=b, pi=pi) for a, b, pi in comps),
+        loglik_trace=tuple(trace),
+        converged=converged,
+        iterations=iterations,
+        seed=int(seed),
+    )
+
+
+def _ref_renormalize(comps):
+    total = sum(max(pi, PI_FLOOR) for _, _, pi in comps)
+    return [(a, b, max(pi, PI_FLOOR) / total) for a, b, pi in comps]
+
+
+def _ref_infer_membership(model, lam, posterior=False):
+    lam = np.asarray(lam, dtype=np.float64)
+    scores = np.stack(
+        [
+            _ref_beta_log_pdf(lam, c.a, c.b) + (np.log(max(c.pi, PI_FLOOR)) if posterior else 0.0)
+            for c in model.components
+        ],
+        axis=-1,
+    )
+    member = scores.argmax(axis=-1)
+    return int(member) if np.ndim(member) == 0 else member
+
+
+def _ref_dirichlet_log_pdf(rows, alpha):
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if np.any(alpha <= 0.0):
+        raise ValueError("concentration parameters must be positive")
+    rows = np.clip(np.asarray(rows, dtype=np.float64), VALUE_CLIP, 1.0 - VALUE_CLIP)
+    out = (
+        gammaln(alpha.sum())
+        - gammaln(alpha).sum()
+        + ((alpha - 1.0) * np.log(rows)).sum(axis=-1)
+    )
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _ref_dirichlet_em_fit(rows, k, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0):
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] < 2:
+        raise ValueError("expected (n, M) rows with M >= 2")
+    if np.any(rows < -1e-9) or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-6):
+        raise ValueError("rows must lie on the probability simplex within 1e-6")
+    n = rows.shape[0]
+    if n < max(k, 2):
+        raise InsufficientSamplesError(f"need at least {max(k, 2)} rows, got {n}")
+    if k < 1:
+        raise ValueError("k must be positive")
+    rows = np.clip(rows, VALUE_CLIP, 1.0 - VALUE_CLIP)
+
+    labels = kmeans_1d(rows[:, -1], k, seed)
+    global_alpha = _dirichlet_mom(rows, np.ones(n))
+    comps = []
+    for j in range(k):
+        mask = labels == j
+        pi = mask.sum() / n
+        alpha = _dirichlet_mom(rows, mask.astype(np.float64)) if mask.any() else global_alpha
+        comps.append((alpha, pi))
+    comps = _ref_renormalize_dir(comps)
+
+    trace = []
+    converged = False
+    iterations = 0
+    for it in range(max_iter):
+        log_joint = np.stack(
+            [np.log(max(pi, PI_FLOOR)) + _ref_dirichlet_log_pdf(rows, alpha) for alpha, pi in comps],
+            axis=1,
+        )
+        log_norm = logsumexp(log_joint, axis=1)
+        loglik = float(log_norm.sum())
+        if trace and loglik < trace[-1] - 1e-10:
+            comps = prev_comps
+            converged = True
+            break
+        trace.append(loglik)
+        iterations = it + 1
+        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
+            converged = True
+            break
+        gamma = np.exp(log_joint - log_norm[:, None])
+        prev_comps = comps
+        new_comps = []
+        for j in range(k):
+            mass = gamma[:, j].sum()
+            if mass < RESP_FLOOR_FRACTION * n:
+                new_comps.append((comps[j][0], PI_FLOOR))
+                continue
+            new_comps.append((_dirichlet_mom(rows, gamma[:, j]), mass / n))
+        comps = _ref_renormalize_dir(new_comps)
+
+    comps = sorted(comps, key=lambda c: c[0][-1] / c[0].sum())
+    return DirichletMixtureModel(
+        components=tuple(
+            DirichletComponent(alpha=tuple(float(a) for a in alpha), pi=pi)
+            for alpha, pi in comps
+        ),
+        loglik_trace=tuple(trace),
+        converged=converged,
+        iterations=iterations,
+        seed=int(seed),
+    )
+
+
+def _ref_renormalize_dir(comps):
+    total = sum(max(pi, PI_FLOOR) for _, pi in comps)
+    return [(alpha, max(pi, PI_FLOOR) / total) for alpha, pi in comps]
+
+
+def _ref_dirichlet_membership(model, rows, posterior=False):
+    rows = np.asarray(rows, dtype=np.float64)
+    single = rows.ndim == 1
+    rows2 = np.atleast_2d(rows)
+    scores = np.stack(
+        [
+            _ref_dirichlet_log_pdf(rows2, np.asarray(c.alpha))
+            + (np.log(max(c.pi, PI_FLOOR)) if posterior else 0.0)
+            for c in model.components
+        ],
+        axis=1,
+    )
+    member = scores.argmax(axis=1)
+    return int(member[0]) if single else member
+
+
+def _rolled_back(model):
+    trace = model.loglik_trace
+    return model.converged and (len(trace) < 2 or abs(trace[-1] - trace[-2]) >= DEFAULT_TOL)
+
+
+def _assert_beta_fit_matches(values, k, **kw):
+    expected = _ref_em_fit(values, k, **kw)
+    model = em_fit(values, k, **kw)
+    assert model == expected
+    for posterior in (False, True):
+        assert np.array_equal(
+            infer_membership(model, values, posterior),
+            _ref_infer_membership(expected, values, posterior),
+        )
+    return model
+
+
+def _assert_dirichlet_fit_matches(rows, k, **kw):
+    expected = _ref_dirichlet_em_fit(rows, k, **kw)
+    model = dirichlet_em_fit(rows, k, **kw)
+    assert model == expected
+    for posterior in (False, True):
+        assert np.array_equal(
+            dirichlet_membership(model, rows, posterior),
+            _ref_dirichlet_membership(expected, rows, posterior),
+        )
+    return model
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_em_fit_equals_reference_fit(k):
+    # K >= 8 crosses the kernel's pairwise-sum branch.
+    rng = np.random.default_rng(40 + k)
+    n = int(rng.integers(60, 200))
+    values = rng.beta(rng.uniform(0.5, 6.0), rng.uniform(0.5, 6.0), size=n)
+    _assert_beta_fit_matches(values, k, seed=k)
+    ties = np.round(values, 2)  # many repeated values
+    ties[:4] = (0.0, 1.0, 0.0, 1.0)  # exact ends, clipped before fitting
+    _assert_beta_fit_matches(ties, k, max_iter=40)
+    masses = rng.choice([0.0, 0.25, 0.5, 1.0], size=n)
+    _assert_beta_fit_matches(masses, k, max_iter=40)
+
+
+def test_em_fit_reference_edge_cases():
+    rng = np.random.default_rng(50)
+    # A point mass leaves every component but the first empty; they starve.
+    starved = _assert_beta_fit_matches(np.full(120, 0.37), 3)
+    assert min(c.pi for c in starved.components) < 1e-9
+    # A likelihood drop is rolled back.
+    rb = np.concatenate([rng.beta(40, 4, size=100), rng.beta(2, 2, size=50), np.full(50, 0.1)])
+    rolled = _assert_beta_fit_matches(rb, 3)
+    assert _rolled_back(rolled)
+    # A fit cut off by the iteration cap.
+    capped = _assert_beta_fit_matches(rng.beta(2, 3, size=150), 4, max_iter=5)
+    assert not capped.converged and capped.iterations == 5
+    # Scalar memberships go through the same kernel.
+    for lam in (0.0, 0.37, 1.0):
+        for posterior in (False, True):
+            assert infer_membership(starved, lam, posterior) == _ref_infer_membership(
+                starved, lam, posterior
+            )
+
+
+def test_em_fit_equals_reference_on_seed0_clustered_inputs(suite0, experts0):
+    from dawin import merge
+
+    options = merge.MergeOptions()
+    for dom in suite0.test_domains:
+        _, ents = merge._model_probs(
+            experts0.arch, [experts0.theta0, experts0.theta1], dom.x, options.temperatures
+        )
+        _assert_beta_fit_matches(merge._pair_lambdas(ents[:, 0], ents[:, 1], options), 3)
+
+
+def test_membership_tied_maxima_pick_the_lower_index():
+    twin = BetaComponent(a=3.0, b=4.0, pi=0.25)
+    model = BetaMixtureModel(
+        components=(BetaComponent(a=1.0, b=9.0, pi=0.5), twin, twin),
+        loglik_trace=(0.0,),
+        converged=True,
+        iterations=1,
+        seed=0,
+    )
+    lam = np.linspace(0.0, 1.0, 41)
+    for posterior in (False, True):
+        member = infer_membership(model, lam, posterior)
+        assert np.array_equal(member, _ref_infer_membership(model, lam, posterior))
+        assert not np.any(member == 2)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_dirichlet_em_fit_equals_reference_fit(k):
+    rng = np.random.default_rng(60 + k)
+    n = int(rng.integers(60, 200))
+    m = 2 + k % 4
+    rows = rng.dirichlet(rng.uniform(0.4, 5.0, size=m), size=n)
+    _assert_dirichlet_fit_matches(rows, k, seed=k, max_iter=60)
+    corners = np.zeros((n, m))
+    corners[np.arange(n), rng.integers(0, m, size=n)] = 1.0  # point masses at 0 and 1
+    _assert_dirichlet_fit_matches(corners, k, max_iter=40)
+
+
+def test_dirichlet_reference_edge_cases():
+    rows = np.tile([0.2, 0.5, 0.3], (90, 1))
+    starved = _assert_dirichlet_fit_matches(rows, 3)
+    assert min(c.pi for c in starved.components) < 1e-9
+    rng = np.random.default_rng(70)
+    capped = _assert_dirichlet_fit_matches(rng.dirichlet((1.0, 2.0, 3.0), size=120), 3, max_iter=4)
+    assert not capped.converged and capped.iterations == 4
+    for posterior in (False, True):
+        assert dirichlet_membership(starved, rows[0], posterior) == _ref_dirichlet_membership(
+            starved, rows[0], posterior
+        )
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_logsumexp_components_equals_scipy(k):
+    rng = np.random.default_rng(80 + k)
+    # C-ordered (n, K), the layout the fits used to hand to scipy.
+    rows = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3, 1e8], size=(300, 1)), size=(300, k))
+    rows[:40] = np.round(rows[:40])  # tied maxima
+    rows[40:60, 0] = rows[40:60, -1]
+    rows[60:80, rng.integers(0, k)] = -np.inf
+    rows[80:90] = -np.inf  # all -inf rows fall back to scipy
+    rows[90, 0] = np.inf
+    a = rows.T  # component-major view
+    expected = logsumexp(a.T, axis=1)
+    assert np.array_equal(_logsumexp_components(a), expected, equal_nan=True)
+    assert np.array_equal(_logsumexp_components(np.ascontiguousarray(a)), expected, equal_nan=True)
+    assert np.all(np.isneginf(_logsumexp_components(a)[80:90]))
+    finite = np.isfinite(rows).all(axis=1)
+    assert np.array_equal(
+        _logsumexp_components(np.ascontiguousarray(a[:, finite])), expected[finite]
+    )
+
+
+def test_mixture_hot_path_skips_scipy_logsumexp(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy logsumexp called on finite input")
+
+    monkeypatch.setattr(mx, "logsumexp", forbidden)
+    values = np.random.default_rng(90).beta(2, 5, size=200)
+    em_fit(values, 3)
+    dirichlet_em_fit(np.column_stack([values, 1.0 - values]), 2)
