@@ -2,10 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp
 
+from dawin import merge
+from dawin import mixture as mx
 from dawin.errors import DataFormatError, InsufficientSamplesError
 from dawin.mixture import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    PI_FLOOR,
+    RESP_FLOOR_FRACTION,
+    VALUE_CLIP,
+    BetaComponent,
     BetaMixtureModel,
+    DirichletComponent,
+    DirichletMixtureModel,
+    _dirichlet_mom,
+    _logsumexp_components,
     beta_log_pdf,
     component_mean,
     dirichlet_component_mean,
@@ -232,22 +245,6 @@ def test_mixture_dict_rejects_garbage():
 # verbatim (only renamed). The kernel must reproduce them bit for bit: equal
 # fitted models (components, loglik trace, iterations, flags) and equal
 # memberships.
-
-from scipy.special import gammaln, logsumexp
-
-from dawin import mixture as mx
-from dawin.mixture import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    PI_FLOOR,
-    RESP_FLOOR_FRACTION,
-    VALUE_CLIP,
-    BetaComponent,
-    DirichletComponent,
-    DirichletMixtureModel,
-    _dirichlet_mom,
-    _logsumexp_components,
-)
 
 
 def _ref_beta_log_pdf(x, a, b):
@@ -515,8 +512,6 @@ def test_em_fit_reference_edge_cases():
 
 
 def test_em_fit_equals_reference_on_seed0_clustered_inputs(suite0, experts0):
-    from dawin import merge
-
     options = merge.MergeOptions()
     for dom in suite0.test_domains:
         _, ents = merge._model_probs(
