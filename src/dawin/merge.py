@@ -390,7 +390,9 @@ def dawin_clustered_eval(
 ) -> StrategyResult:
     """Coefficient compression: fit a K-component Beta mixture to the
     per-sample coefficients, merge once per component at its mean, and route
-    every sample to its membership component."""
+    every sample to its membership component. A batch_size below max(k, 2)
+    is rejected whatever the domain's size, even where the tail fold would
+    leave a single valid chunk."""
     if options.batch_size is not None and options.batch_size < max(k, 2):
         raise ValueError(
             f"batch_size {options.batch_size} is below max(k, 2) = {max(k, 2)}: "

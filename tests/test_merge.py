@@ -369,5 +369,10 @@ def test_clustered_rejects_batch_size_below_k():
     # Every chunk would be too small for a K-component fit: a usage error up front.
     with pytest.raises(ValueError, match="batch_size 2 is below max"):
         dawin_clustered_eval(ARCH, T0, T1, DOM, k=3, options=MergeOptions(batch_size=2))
+    # The rule is on the options alone: a 4-row domain, which the tail fold
+    # would leave as one valid chunk, is rejected all the same.
+    with pytest.raises(ValueError, match="batch_size 2 is below max"):
+        dawin_clustered_eval(ARCH, T0, T1, rand_domain(24, n=4), k=3,
+                             options=MergeOptions(batch_size=2))
     out = dawin_clustered_eval(ARCH, T0, T1, DOM, k=3, options=MergeOptions(batch_size=3))
     assert out.extras["chunks"] == DOM.n_samples // 3

@@ -16,39 +16,29 @@ a sha256:
 Run from the repository root:
 
     python3 tools/output_digests.py --seeds 0 3
-    python3 tools/output_digests.py --seeds 0 --no-suite   # skip the slow suite
+
+The hashing is ``perfbench/workloads.py``'s ``digest``, the scheme the BENCH
+records rely on.
 """
 import argparse
-import hashlib
-import json
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-import numpy as np
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from dawin import databench, harness
 from dawin.merge import STRATEGY_KINDS, dawin_task_arith_eval
-
-LAMBDA0 = 0.3
+from workloads import LAMBDA0
+from workloads import digest as full_digest
 
 
 def digest(obj) -> str:
-    """sha256 of sorted-key JSON; arrays hash by their bytes."""
-
-    def default(value):
-        if isinstance(value, np.ndarray):
-            return hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()
-        if isinstance(value, np.generic):
-            return value.item()
-        return repr(value)
-
-    text = json.dumps(obj, sort_keys=True, default=default)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return full_digest(obj)[:16]
 
 
-def seed_digests(seed: int, with_suite: bool = True) -> dict:
+def seed_digests(seed: int) -> dict:
     suite = databench.generate(seed, databench.SuiteSpec())
     experts = harness.build_experts(suite, with_tasks=True)
     out = {
@@ -67,21 +57,17 @@ def seed_digests(seed: int, with_suite: bool = True) -> dict:
     ]
     out["knone_probs"] = digest([r.probs for r in exact])
     out["knone_chosen"] = digest([r.chosen for r in exact])
-    if with_suite:
-        checks = harness.run_property_suite(suite, experts)
-        out["suite"] = digest([vars(c) for c in checks])
+    checks = harness.run_property_suite(suite, experts)
+    out["suite"] = digest([vars(c) for c in checks])
     return out
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
-    parser.add_argument(
-        "--no-suite", action="store_true", help="skip the property-suite digest"
-    )
     args = parser.parse_args(argv)
     for seed in args.seeds:
-        for name, value in seed_digests(seed, with_suite=not args.no_suite).items():
+        for name, value in seed_digests(seed).items():
             print(f"seed {seed} {name} {value}", flush=True)
     return 0
 
