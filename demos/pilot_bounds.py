@@ -11,7 +11,8 @@ The gap between oracle-sample and best-static is the headroom that
 sample-wise coefficients can claim. Equivalent CLI: `dawin eval` with the
 same strategy list.
 
-Output: pilot.json under DAWIN_REPORT_DIR (default ./reports) + the table below.
+Output: pilot.json under DAWIN_REPORT_DIR (default: the current directory)
+and the table below.
 """
 import os
 

@@ -9,7 +9,6 @@ from .classifier import (
     MlpArchitecture,
     TrainConfig,
     calibrate_temperature,
-    forward,
     forward_batch,
     logits_batch,
     train,

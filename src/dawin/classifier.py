@@ -12,9 +12,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .errors import CheckpointFormatError
 from .params import (
     Checkpoint,
     ParamVector,
+    _validate_arch_header,
     checkpoint_id,
     mlp_layer_shapes,
     mlp_layout_id,
@@ -72,15 +74,15 @@ class MlpArchitecture:
 
     @classmethod
     def from_header(cls, header: dict) -> "MlpArchitecture":
-        return cls(
-            input_dim=int(header["input_dim"]),
-            hidden_widths=tuple(int(w) for w in header["hidden_widths"]),
-            class_count=int(header["class_count"]),
-            activation=str(header["activation"]),
-        )
-
-
-DEFAULT_ARCH = MlpArchitecture()
+        """The architecture a checkpoint header names; a missing, ill-typed or
+        unknown field raises CheckpointFormatError naming the field."""
+        arch = _validate_arch_header(header)
+        if arch["activation"] not in _ACTIVATIONS:
+            raise CheckpointFormatError(
+                f"header arch field 'activation' names no known activation: "
+                f"{arch['activation']!r}"
+            )
+        return cls(**arch)
 
 
 def unpack(arch: MlpArchitecture, theta: ParamVector | np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -187,19 +189,6 @@ def forward_batch(
     return _softmax(logits_batch(arch, theta, x) / temperature)
 
 
-def forward(
-    arch: MlpArchitecture,
-    theta: ParamVector | np.ndarray,
-    x: np.ndarray,
-    temperature: float = 1.0,
-) -> np.ndarray:
-    """Single-sample convenience wrapper around forward_batch."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a single sample of shape ({arch.input_dim},), got {x.shape}")
-    return forward_batch(arch, theta, x[None, :], temperature)[0]
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 30
@@ -226,35 +215,26 @@ def mean_xentropy(
     arch: MlpArchitecture, theta: ParamVector | np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> float:
     """Mean negative log-likelihood of the true labels, in nats."""
-    logits = logits_batch(arch, theta, x)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1))
-    return float(np.mean(logz - shifted[np.arange(len(y)), y]))
+    return _nll_at_temperature(logits_batch(arch, theta, x), y, 1.0)
 
 
-def _loss_and_grad(
+def _grad(
     arch: MlpArchitecture,
     theta: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
     weight_decay: float,
-) -> tuple[float, np.ndarray]:
+) -> np.ndarray:
+    """Gradient of the mean cross-entropy plus the L2 term on the weights."""
     layers = unpack(arch, theta)
     act, dact = _ACTIVATIONS[arch.activation]
     acts = [x]
     for w, b in layers[:-1]:
         acts.append(act(acts[-1] @ w + b))
     w_out, b_out = layers[-1]
-    logits = acts[-1] @ w_out + b_out
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
+    delta = _softmax(acts[-1] @ w_out + b_out)
     n = x.shape[0]
-    rows = np.arange(n)
-    loss = float(np.mean(np.log(e.sum(axis=1)) - shifted[rows, y]))
-
-    delta = probs
-    delta[rows, y] -= 1.0
+    delta[np.arange(n), y] -= 1.0
     delta /= n
     grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(layers)
     grads[-1] = (acts[-1].T @ delta, delta.sum(axis=0))
@@ -274,7 +254,7 @@ def _loss_and_grad(
         offset += gw.size
         flat[offset : offset + gb.size] = gb
         offset += gb.size
-    return loss, flat
+    return flat
 
 
 def train(
@@ -316,7 +296,7 @@ def train(
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            _, grad = _loss_and_grad(arch, theta, x[idx], y[idx], config.weight_decay)
+            grad = _grad(arch, theta, x[idx], y[idx], config.weight_decay)
             velocity = config.momentum * velocity + grad
             theta = theta - config.learning_rate * velocity
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import harness
 from .classifier import MlpArchitecture, TrainConfig, calibrate_temperature, forward_batch, train
 from .databench import SuiteSpec, generate, load_domain, load_suite, save_suite
-from .errors import DataFormatError, DawinError
+from .errors import CheckpointFormatError, DataFormatError, DawinError
 from .expertise import (
     COEFF_MODES,
     CoefficientBatch,
@@ -30,9 +30,9 @@ from .expertise import (
     pseudo_label_coeff,
     save_coefficients,
 )
-from .merge import MergeOptions, MergeStrategy, STRATEGY_KINDS
+from .merge import STRATEGIES, MergeOptions, MergeStrategy
 from .mixture import dirichlet_em_fit, em_fit, save_mixture
-from .params import checkpoint_id, interpolate_pair, load_checkpoint, save_checkpoint
+from .params import Checkpoint, checkpoint_id, interpolate_pair, load_checkpoint, save_checkpoint
 
 ROLES = ("pretrain", "finetune", "task")
 # `suite` exit status when any property check fails; 1 and 2 stay the
@@ -48,13 +48,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _arch_from_header(header: dict) -> MlpArchitecture:
-    return MlpArchitecture(
-        input_dim=header["input_dim"],
-        hidden_widths=tuple(header["hidden_widths"]),
-        class_count=header["class_count"],
-        activation=header["activation"],
-    )
+def _load_checkpoint(path: str) -> tuple[Checkpoint, MlpArchitecture]:
+    """A checkpoint and the architecture its header names; a header that names
+    none is a data error naming the file and the field."""
+    ckpt = load_checkpoint(path)
+    try:
+        return ckpt, MlpArchitecture.from_header(ckpt.arch)
+    except CheckpointFormatError as exc:
+        raise CheckpointFormatError(f"{path}: {exc}") from exc
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -136,9 +137,8 @@ def cmd_train(args, config) -> int:
     )
     init = parent = None
     if args.init:
-        parent = load_checkpoint(args.init)
+        parent, arch = _load_checkpoint(args.init)
         init = parent.payload
-        arch = _arch_from_header(parent.arch)
     else:
         if role in ("finetune", "task"):
             raise DawinError(f"role {role} fine-tunes from a checkpoint; pass --init")
@@ -186,10 +186,10 @@ def cmd_coeffs(args, config) -> int:
     suite = load_suite(args.suite) if args.suite else None
     x, y = _resolve_domain(suite, args.domain)
     mode = args.mode
-    checkpoints = [load_checkpoint(p) for p in args.model]
+    checkpoints, archs = zip(*(_load_checkpoint(p) for p in args.model))
     if len(checkpoints) < 2:
         raise DawinError("need at least two --model checkpoints")
-    arch = _arch_from_header(checkpoints[0].arch)
+    arch = archs[0]
     probs = [forward_batch(arch, c.payload, x) for c in checkpoints]
     ids = tuple(checkpoint_id(c) for c in checkpoints)
     if len(checkpoints) > 2:
@@ -240,15 +240,14 @@ def cmd_fit_mixture(args, config) -> int:
     return 0
 
 
-def _merge_options(args, config, suite, checkpoints=None) -> MergeOptions:
+def _merge_options(args, config, suite, experts=None) -> MergeOptions:
     temperatures = None
     if bool(_resolve(args, config, "calibrate", False)):
-        if not checkpoints:
+        if experts is None:
             raise DawinError("--calibrate needs explicit --theta0/--theta1 checkpoints")
-        arch = _arch_from_header(checkpoints[0].arch)
         temperatures = tuple(
-            calibrate_temperature(arch, c.payload, suite.id_val.x, suite.id_val.y)
-            for c in checkpoints
+            calibrate_temperature(experts.arch, theta, suite.id_val.x, suite.id_val.y)
+            for theta in (experts.theta0, experts.theta1)
         )
     batch_size = _resolve(args, config, "batch_size", None)
     return MergeOptions(
@@ -263,40 +262,26 @@ def _merge_options(args, config, suite, checkpoints=None) -> MergeOptions:
 def _experts_from_args(args, suite):
     """Either both checkpoint paths are supplied or the roles are trained."""
     if args.theta0 and args.theta1:
-        zs = load_checkpoint(args.theta0)
-        ft = load_checkpoint(args.theta1)
-        arch = _arch_from_header(zs.arch)
-        tasks = tuple(load_checkpoint(p) for p in getattr(args, "task_expert", None) or ())
-        return harness.ExpertSet(arch=arch, pretrain=zs, finetune=ft, task_experts=tasks), [zs, ft]
+        zs, arch = _load_checkpoint(args.theta0)
+        ft, _ = _load_checkpoint(args.theta1)
+        tasks = tuple(_load_checkpoint(p)[0] for p in getattr(args, "task_expert", None) or ())
+        return harness.ExpertSet(arch=arch, pretrain=zs, finetune=ft, task_experts=tasks)
     if args.theta0 or args.theta1:
         raise DawinError("pass both --theta0 and --theta1, or neither")
-    return None, None
+    return None
 
 
 def cmd_eval(args, config) -> int:
     suite = load_suite(args.suite)
     kinds = args.strategy or config.get("strategies") or ["dawin_sample"]
-    grid = _resolve(args, config, "grid", None)
-    k = _resolve(args, config, "k", None)
-    lam = _resolve(args, config, "lam", None)
-    lambda0 = _resolve(args, config, "lambda0", None)
-    strategies = []
-    for kind in kinds:
-        base = harness.strategy_from_kind(kind)
-        strategies.append(
-            MergeStrategy(
-                kind=kind,
-                lam=base.lam if lam is None else float(lam),
-                grid=base.grid if grid is None else tuple(grid),
-                k=base.k if k is None else int(k),
-                lambda0=base.lambda0 if lambda0 is None else float(lambda0),
-            )
-        )
-    experts, checkpoints = _experts_from_args(args, suite)
-    options = _merge_options(args, config, suite, checkpoints)
-    needs_tasks = any(s.kind == "dawin_task_arith" for s in strategies)
-    if experts is None:
-        experts = harness.build_experts(suite, with_tasks=needs_tasks)
+    overrides = {}
+    for name, convert in (("lam", float), ("grid", tuple), ("k", int), ("lambda0", float)):
+        value = _resolve(args, config, name, None)
+        if value is not None:
+            overrides[name] = convert(value)
+    strategies = [MergeStrategy(kind, **overrides) for kind in kinds]
+    experts = _experts_from_args(args, suite)
+    options = _merge_options(args, config, suite, experts)
     report = harness.run_main(suite, strategies, options=options, experts=experts)
     report.config["cli"] = _effective_config(args, config, options)
     out = _out_path(args.out)
@@ -309,10 +294,8 @@ def cmd_eval(args, config) -> int:
 
 def cmd_analyze(args, config) -> int:
     suite = load_suite(args.suite)
-    experts, checkpoints = _experts_from_args(args, suite)
-    options = _merge_options(args, config, suite, checkpoints)
-    if experts is None:
-        experts = harness.build_experts(suite, with_tasks=False)
+    experts = _experts_from_args(args, suite)
+    options = _merge_options(args, config, suite, experts)
     report = harness.run_analysis(suite, experts, options=options)
     report.config["cli"] = _effective_config(args, config, options)
     out = _out_path(args.out)
@@ -323,10 +306,8 @@ def cmd_analyze(args, config) -> int:
 
 def cmd_suite(args, config) -> int:
     suite = load_suite(args.suite)
-    experts, checkpoints = _experts_from_args(args, suite)
-    options = _merge_options(args, config, suite, checkpoints)
-    if experts is None:
-        experts = harness.build_experts(suite)
+    experts = _experts_from_args(args, suite)
+    options = _merge_options(args, config, suite, experts)
     checks = harness.run_property_suite(suite, experts, options=options)
     for check in checks:
         line = f"{check.verdict.upper():4s} {check.name} ({check.violations}/{check.samples})"
@@ -436,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate merging strategies and write a report")
     eval_like(p, with_tasks=True)
     p.add_argument("--strategy", action="append",
-                   help=f"strategy kind; repeat. one of: {', '.join(STRATEGY_KINDS)}")
+                   help=f"strategy kind; repeat. one of: {', '.join(STRATEGIES)}")
     p.add_argument("--k", type=int, help="mixture components for clustered strategies")
     p.add_argument("--lam", type=float, help="coefficient for the static strategy")
     p.add_argument("--lambda0", type=float, help="task-arithmetic scale (default 0.3)")

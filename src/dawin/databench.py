@@ -18,8 +18,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -454,11 +453,17 @@ def load_suite(directory: str) -> BenchmarkSuite:
             f"{manifest_path}: unsupported schema version {manifest.get('schema_version')!r}"
         )
     try:
+        seed = int(manifest["seed"])
         spec = SuiteSpec.from_dict(manifest["spec"])
-        roles = manifest["roles"]
+        roles = dict(manifest["roles"])
         entries = manifest["domains"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{manifest_path}: malformed manifest: {exc}") from exc
+
+    def role(name: str):
+        if name not in roles:
+            raise DataFormatError(f"{manifest_path}: manifest names no {name!r} role")
+        return roles[name]
 
     def load_named(name: str) -> Domain:
         entry = entries.get(name)
@@ -476,12 +481,12 @@ def load_suite(directory: str) -> BenchmarkSuite:
         for entry in manifest.get("mtl_tasks", [])
     )
     return BenchmarkSuite(
-        seed=int(manifest["seed"]),
+        seed=seed,
         spec=spec,
-        pretrain_mix=load_named(roles["pretrain_mix"]),
-        id_train=load_named(roles["id_train"]),
-        id_val=load_named(roles["id_val"]),
-        id_test=load_named(roles["id_test"]),
-        ood_tests=tuple(load_named(n) for n in roles["ood_tests"]),
+        pretrain_mix=load_named(role("pretrain_mix")),
+        id_train=load_named(role("id_train")),
+        id_val=load_named(role("id_val")),
+        id_test=load_named(role("id_test")),
+        ood_tests=tuple(load_named(n) for n in role("ood_tests")),
         mtl_tasks=tasks,
     )

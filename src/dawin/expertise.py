@@ -23,7 +23,7 @@ import csv
 import enum
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, softmax
@@ -39,16 +39,6 @@ from .util import atomic_write
 PROB_EPS = 1e-12
 
 PSEUDO_LABEL_VARIANTS = ("avg_soft", "avg_hard", "mid_soft", "mid_hard")
-
-
-def check_prob_vector(p: np.ndarray, atol: float = 1e-9) -> None:
-    """Entries in [0, 1] and rows summing to 1 within atol."""
-    p = np.asarray(p)
-    if np.any(p < -atol) or np.any(p > 1.0 + atol):
-        raise ValueError("probabilities out of [0, 1]")
-    sums = p.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > atol):
-        raise ValueError(f"probability rows must sum to 1 within {atol}")
 
 
 def entropy(p: np.ndarray) -> np.ndarray | float:
@@ -201,17 +191,6 @@ class Split(str, enum.Enum):
     FALSE_FALSE = "FalseFalse"
 
 
-def correctness_split(pred0: int, pred1: int, y: int) -> Split:
-    """First position reports model 0's correctness, second model 1's."""
-    table = {
-        (True, True): Split.TRUE_TRUE,
-        (True, False): Split.TRUE_FALSE,
-        (False, True): Split.FALSE_TRUE,
-        (False, False): Split.FALSE_FALSE,
-    }
-    return table[(pred0 == y, pred1 == y)]
-
-
 def split_masks(preds0: np.ndarray, preds1: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray]:
     c0 = np.asarray(preds0) == np.asarray(y)
     c1 = np.asarray(preds1) == np.asarray(y)
@@ -278,41 +257,6 @@ def ratio_correlation(
             if r is not None:
                 out[name] = r
     return out
-
-
-@dataclass(frozen=True)
-class ExpertiseRecord:
-    """Per-sample bundle: entropies, optional label cross-entropies, argmaxes."""
-
-    sample_index: int
-    entropies: tuple[float, ...]
-    preds: tuple[int, ...]
-    xentropies: tuple[float, ...] | None = None
-
-
-def expertise_records(
-    prob_sets: list[np.ndarray], y: np.ndarray | None = None
-) -> list[ExpertiseRecord]:
-    """Build records from each model's (n, C) probability matrix."""
-    if len(prob_sets) < 2:
-        raise ValueError("need at least two models")
-    n = prob_sets[0].shape[0]
-    ents = np.stack([entropy(p) for p in prob_sets], axis=1)
-    preds = np.stack([p.argmax(axis=1) for p in prob_sets], axis=1)
-    xents = None
-    if y is not None:
-        xents = np.stack([xentropy(p, y) for p in prob_sets], axis=1)
-    records = []
-    for i in range(n):
-        records.append(
-            ExpertiseRecord(
-                sample_index=i,
-                entropies=tuple(float(v) for v in ents[i]),
-                preds=tuple(int(v) for v in preds[i]),
-                xentropies=None if xents is None else tuple(float(v) for v in xents[i]),
-            )
-        )
-    return records
 
 
 # ----- coefficient batches ----------------------------------------------------

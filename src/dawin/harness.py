@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .classifier import MlpArchitecture, TrainConfig, forward_batch, train
-from .databench import BenchmarkSuite, Domain
+from .databench import BenchmarkSuite
 from .errors import DataFormatError, UndefinedOracleError
 from .expertise import (
     Split,
@@ -31,6 +31,7 @@ from .expertise import (
 )
 from .merge import (
     DEFAULT_GRID,
+    STRATEGIES,
     MergeOptions,
     MergeStrategy,
     StrategyResult,
@@ -38,15 +39,11 @@ from .merge import (
     dawin_clustered_eval,
     dawin_sample_eval,
     dawin_task_arith_eval,
-    dcs_eval,
-    doe_eval,
-    greedy_soup,
     mean_prediction_entropy,
     model_eval,
     oracle_domain_search,
     oracle_sample_eval,
     static_eval,
-    uniform_soup,
     wise_sweep,
 )
 from .mixture import em_fit
@@ -326,7 +323,7 @@ def run_pilot(
         "grid": [float(g) for g in grid],
         "architecture": dict(experts.pretrain.arch),
     }
-    sweep = wise_sweep(arch, t0, t1, suite.id_val, (), grid)
+    sweep = wise_sweep(arch, t0, t1, suite.id_val, grid)
     lam_star = sweep.best_lam
     report.config["best_static_lam"] = lam_star
     for dom in suite.test_domains:
@@ -344,69 +341,20 @@ def run_pilot(
 # ----- main comparison -------------------------------------------------------------
 
 
-def _eval_strategy(
-    strategy: MergeStrategy,
-    experts: ExpertSet,
-    suite: BenchmarkSuite,
-    domain: Domain,
-    options: MergeOptions,
-) -> StrategyResult:
-    arch, t0, t1 = experts.arch, experts.theta0, experts.theta1
-    kind = strategy.kind
-    if kind == "zs":
-        return model_eval(arch, t0, domain, "zs")
-    if kind == "ft":
-        return model_eval(arch, t1, domain, "ft")
-    if kind == "static":
-        return static_eval(arch, t0, t1, strategy.lam, domain)
-    if kind == "wise_sweep":
-        sweep = wise_sweep(arch, t0, t1, suite.id_val, (), strategy.grid)
-        result = static_eval(arch, t0, t1, sweep.best_lam, domain, name="wise_sweep")
-        result.extras["best_lam"] = sweep.best_lam
-        return result
-    if kind == "uniform_soup":
-        soup = uniform_soup([t0, t1])
-        return model_eval(arch, soup, domain, "uniform_soup")
-    if kind == "greedy_soup":
-        soup, kept = greedy_soup(arch, [t0, t1], suite.id_val)
-        result = model_eval(arch, soup, domain, "greedy_soup")
-        result.extras["kept"] = kept
-        return result
-    if kind == "dawin_sample":
-        return dawin_sample_eval(arch, t0, t1, domain, options)
-    if kind == "dawin_clustered":
-        return dawin_clustered_eval(arch, t0, t1, domain, k=strategy.k, options=options)
-    if kind == "dcs":
-        return dcs_eval(arch, [t0, t1], domain, options)
-    if kind == "doe":
-        return doe_eval(arch, [t0, t1], domain, options)
-    if kind == "oracle_sample":
-        return oracle_sample_eval(arch, t0, t1, domain)
-    if kind == "oracle_domain":
-        return oracle_domain_search(arch, t0, t1, domain, strategy.grid)
-    raise ValueError(f"strategy {kind!r} is not dispatchable here")
-
-
-def strategy_from_kind(kind: str) -> MergeStrategy:
-    """Kind-appropriate defaults; the multi-task rule compresses with K=1."""
-    if kind == "dawin_task_arith":
-        return MergeStrategy(kind=kind, k=1)
-    return MergeStrategy(kind=kind)
-
-
 def run_main(
     suite: BenchmarkSuite,
     strategies,
     options: MergeOptions = MergeOptions(),
     experts: ExpertSet | None = None,
 ) -> EvalReport:
-    """Per-strategy metrics on every test domain, instrumented with merge
-    counts and wall-clock. dawin_task_arith runs on the task test splits."""
-    strategies = [
-        s if isinstance(s, MergeStrategy) else strategy_from_kind(str(s)) for s in strategies
-    ]
-    needs_tasks = any(s.kind == "dawin_task_arith" for s in strategies)
-    experts = experts or build_experts(suite, with_tasks=needs_tasks)
+    """Per-strategy metrics on each kind's domains (STRATEGIES), instrumented
+    with merge counts and wall-clock. A kind given as a plain string takes its
+    defaults."""
+    strategies = [s if isinstance(s, MergeStrategy) else MergeStrategy(str(s)) for s in strategies]
+    task_kinds = [s.kind for s in strategies if STRATEGIES[s.kind].on_tasks]
+    experts = experts or build_experts(suite, with_tasks=bool(task_kinds))
+    if task_kinds and not experts.task_experts:
+        raise DataFormatError(f"{task_kinds[0]} needs trained task experts")
     report = EvalReport(suite_seed=suite.seed)
     report.config = {
         "operation": "main",
@@ -415,26 +363,21 @@ def run_main(
         "architecture": dict(experts.pretrain.arch),
     }
     for strategy in strategies:
-        if strategy.kind == "dawin_task_arith":
-            if not experts.task_experts:
-                raise DataFormatError("dawin_task_arith needs trained task experts")
-            taus = experts.task_vectors()
-            params = experts.task_params()
-            for split in suite.mtl_tasks:
-                result = dawin_task_arith_eval(
-                    experts.arch, experts.theta0, params, taus, split.test,
-                    lambda0=strategy.lambda0, k=strategy.k, options=options,
-                )
-                report.add_result(result, split.test.y, extras={"lambda0": strategy.lambda0})
-            continue
-        for dom in suite.test_domains:
-            result = _eval_strategy(strategy, experts, suite, dom, options)
-            report.add_result(result, dom.y)
+        entry = STRATEGIES[strategy.kind]
+        extras = {"lambda0": strategy.lambda0} if entry.on_tasks else None
+        for dom in entry.domains(suite):
+            result = entry.run(strategy, experts, suite, dom, options)
+            report.add_result(result, dom.y, extras=extras)
     _ood_average(report, (d.name for d in suite.ood_tests))
     return report
 
 
 # ----- analysis -------------------------------------------------------------------
+
+
+def _entropy_bars(entropies: dict, mask: np.ndarray) -> dict:
+    """Mean entropy of each model over the masked samples."""
+    return {name: float(h[mask].mean()) for name, h in entropies.items()}
 
 
 def run_analysis(
@@ -453,7 +396,7 @@ def run_analysis(
         "options": vars(options),
         "architecture": dict(experts.pretrain.arch),
     }
-    pooled: dict[str, list[np.ndarray]] = {key: [] for key in ("h_zs", "h_ft", "h_wa", "h_dw")}
+    pooled: dict[str, list[np.ndarray]] = {}
     pooled_masks: dict[str, list[np.ndarray]] = {}
     for dom in suite.test_domains:
         p0 = forward_batch(arch, t0, dom.x)
@@ -483,48 +426,22 @@ def run_analysis(
 
         wa = static_eval(arch, t0, t1, 0.5, dom, name="wa_half")
         dw = dawin_sample_eval(arch, t0, t1, dom, options)
-        h_wa = entropy(wa.probs)
-        h_dw = entropy(dw.probs)
-        bars = {}
-        for split_name, mask in (("overall", np.ones(dom.n_samples, bool)), *masks.items()):
-            if not mask.any():
-                bars[split_name] = None
-                continue
-            bars[split_name] = {
-                "zs": float(h0[mask].mean()),
-                "ft": float(h1[mask].mean()),
-                "wa_half": float(h_wa[mask].mean()),
-                "dawin_sample": float(h_dw[mask].mean()),
-            }
-        report.entropy_bars[dom.name] = bars
-
-        for key, arr in (("h_zs", h0), ("h_ft", h1), ("h_wa", h_wa), ("h_dw", h_dw)):
-            pooled[key].append(arr)
+        h = {"zs": h0, "ft": h1, "wa_half": entropy(wa.probs), "dawin_sample": entropy(dw.probs)}
+        report.entropy_bars[dom.name] = {
+            name: _entropy_bars(h, mask) if mask.any() else None
+            for name, mask in (("overall", np.ones(dom.n_samples, bool)), *masks.items())
+        }
+        for key, arr in h.items():
+            pooled.setdefault(key, []).append(arr)
         for name, mask in masks.items():
             pooled_masks.setdefault(name, []).append(mask)
 
     cat = {key: np.concatenate(vals) for key, vals in pooled.items()}
-    bars = {
-        "overall": {
-            "zs": float(cat["h_zs"].mean()),
-            "ft": float(cat["h_ft"].mean()),
-            "wa_half": float(cat["h_wa"].mean()),
-            "dawin_sample": float(cat["h_dw"].mean()),
-        }
-    }
-    for name, masks_list in pooled_masks.items():
-        mask = np.concatenate(masks_list)
-        if mask.any():
-            bars[name] = {
-                "zs": float(cat["h_zs"][mask].mean()),
-                "ft": float(cat["h_ft"][mask].mean()),
-                "wa_half": float(cat["h_wa"][mask].mean()),
-                "dawin_sample": float(cat["h_dw"][mask].mean()),
-            }
+    cat_masks = {name: np.concatenate(vals) for name, vals in pooled_masks.items()}
+    bars = {"overall": _entropy_bars(cat, np.ones(len(cat["zs"]), bool))}
+    bars.update((name, _entropy_bars(cat, mask)) for name, mask in cat_masks.items() if mask.any())
     report.entropy_bars["pooled"] = bars
-    report.splits["pooled"] = {
-        name: int(np.concatenate(masks_list).sum()) for name, masks_list in pooled_masks.items()
-    }
+    report.splits["pooled"] = {name: int(mask.sum()) for name, mask in cat_masks.items()}
     return report
 
 
@@ -724,13 +641,7 @@ def run_property_suite(
     ood_names = {d.name for d in suite.ood_tests}
     sweep_vals = []
     for bs in (32, 64, 128, 256, 512, 1024, 2048, None):
-        opts = MergeOptions(
-            offset_adjust=options.offset_adjust,
-            temperatures=options.temperatures,
-            batch_size=bs,
-            posterior_membership=options.posterior_membership,
-            seed=options.seed,
-        )
+        opts = replace(options, batch_size=bs)
         accs = [
             accuracy(dawin_sample_eval(arch, t0, t1, dom, opts), dom.y)
             for dom, *_ in cache.values()

@@ -4,26 +4,24 @@ Every strategy returns a StrategyResult holding the final predictive
 distributions, the coefficient actually applied per sample (when the notion
 applies), the number of distinct parameter merges performed, and wall time.
 Temperatures, when supplied, shape entropy estimation only; final predictions
-always come from unscaled logits.
+always come from unscaled logits. STRATEGIES, at the end, is the one list of
+strategy kinds: how each runs, its knob defaults and its domains.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .classifier import MlpArchitecture, forward_batch
 from .databench import Domain
-from .errors import IncompatibleModelsError
 from .expertise import (
     coeff_multi,
     coeff_pair,
     coeff_pair_offset,
-    domain_offset,
     entropy,
     oracle_coeff,
 )
@@ -42,7 +40,6 @@ from .params import (
     combine_task_vectors,
     interpolate_pair,
 )
-from .util import atomic_write
 
 DEFAULT_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
@@ -50,36 +47,27 @@ DEFAULT_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 # STACK_ROWS merged parameter vectors and runs them in one forward call.
 STACK_ROWS = 16
 
-STRATEGY_KINDS = (
-    "zs",
-    "ft",
-    "static",
-    "wise_sweep",
-    "uniform_soup",
-    "greedy_soup",
-    "dawin_sample",
-    "dawin_clustered",
-    "dawin_task_arith",
-    "dcs",
-    "doe",
-    "oracle_sample",
-    "oracle_domain",
-)
+# Knob defaults of every kind; a kind's STRATEGIES entry may override them.
+_KNOB_DEFAULTS = {"lam": 0.5, "grid": DEFAULT_GRID, "k": 3, "lambda0": 0.3}
 
 
 @dataclass(frozen=True)
 class MergeStrategy:
-    """A strategy kind plus the knobs it needs."""
+    """A strategy kind (a key of STRATEGIES) plus the knobs it needs. A knob
+    left at None takes the kind's default."""
 
     kind: str
-    lam: float = 0.5
-    grid: tuple[float, ...] = DEFAULT_GRID
-    k: int = 3
-    lambda0: float = 0.3
+    lam: float | None = None
+    grid: tuple[float, ...] | None = None
+    k: int | None = None
+    lambda0: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in STRATEGY_KINDS:
+        if self.kind not in STRATEGIES:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
+        for name, value in {**_KNOB_DEFAULTS, **STRATEGIES[self.kind].defaults}.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("static coefficient must lie in [0, 1]")
         grid = tuple(float(g) for g in self.grid)
@@ -102,14 +90,11 @@ class MergeOptions:
     temperatures: tuple[float, ...] | None = None
     batch_size: int | None = None
     posterior_membership: bool = False
-    wise_scale: float | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.batch_size is not None and self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")
-        if self.wise_scale is not None and self.wise_scale <= 0.0:
-            raise ValueError("wise_scale must be positive")
 
 
 @dataclass
@@ -139,22 +124,21 @@ def mean_prediction_entropy(result: StrategyResult) -> float:
     return float(np.mean(entropy(result.probs)))
 
 
-def save_predictions(result: StrategyResult, path: str) -> None:
-    """CSV rows: sample_index,argmax,chosen_lambda_json,strategy."""
-    lines = ["sample_index,argmax,chosen_lambda_json,strategy"]
-    for i in range(result.n):
-        if result.chosen is None:
-            chosen = "null"
-        else:
-            value = result.chosen[i]
-            chosen = json.dumps(
-                float(value) if np.ndim(value) == 0 else [float(v) for v in value]
-            )
-        lines.append(f"{i},{int(result.preds[i])},\"{chosen}\",{result.strategy}")
-    atomic_write(path, "\n".join(lines) + "\n")
-
-
 # ----- shared helpers -----------------------------------------------------------
+
+def _result(name, domain, probs, start, chosen=None, merge_count=0, extras=None):
+    """The StrategyResult that predicts the argmax of probs, timed from start."""
+    return StrategyResult(
+        strategy=name,
+        domain=domain.name,
+        probs=probs,
+        preds=probs.argmax(axis=1),
+        chosen=chosen,
+        merge_count=merge_count,
+        wall_ms=(time.perf_counter() - start) * 1e3,
+        extras={} if extras is None else extras,
+    )
+
 
 def _model_probs(
     arch: MlpArchitecture,
@@ -195,18 +179,12 @@ def _chunks(n: int, batch_size: int | None, min_tail: int):
         yield np.arange(start, stop)
 
 
-def _apply_wise_scale(lam: np.ndarray, scale: float | None) -> np.ndarray:
-    if scale is None:
-        return lam
-    return np.clip(lam * scale, 0.0, 1.0)
-
-
 def _pair_lambdas(h0: np.ndarray, h1: np.ndarray, options: MergeOptions) -> np.ndarray:
     if options.offset_adjust:
         lam, _ = coeff_pair_offset(h0, h1)
     else:
         lam = coeff_pair(h0, h1)
-    return _apply_wise_scale(np.asarray(lam, dtype=np.float64), options.wise_scale)
+    return np.asarray(lam, dtype=np.float64)
 
 
 def _per_sample_probs(arch: MlpArchitecture, x: np.ndarray, merged_rows) -> np.ndarray:
@@ -237,15 +215,7 @@ def model_eval(
 ) -> StrategyResult:
     start = time.perf_counter()
     probs = forward_batch(arch, theta, domain.x)
-    return StrategyResult(
-        strategy=name,
-        domain=domain.name,
-        probs=probs,
-        preds=probs.argmax(axis=1),
-        chosen=None,
-        merge_count=0,
-        wall_ms=(time.perf_counter() - start) * 1e3,
-    )
+    return _result(name, domain, probs, start)
 
 
 def static_eval(
@@ -259,16 +229,8 @@ def static_eval(
     start = time.perf_counter()
     merged = interpolate_pair(theta0, theta1, lam)
     probs = forward_batch(arch, merged, domain.x)
-    return StrategyResult(
-        strategy=name,
-        domain=domain.name,
-        probs=probs,
-        preds=probs.argmax(axis=1),
-        chosen=np.full(domain.n_samples, float(lam)),
-        merge_count=1,
-        wall_ms=(time.perf_counter() - start) * 1e3,
-        extras={"lam": float(lam)},
-    )
+    return _result(name, domain, probs, start, chosen=np.full(domain.n_samples, float(lam)),
+                   merge_count=1, extras={"lam": float(lam)})
 
 
 @dataclass(frozen=True)
@@ -282,7 +244,6 @@ def wise_sweep(
     theta0: ParamVector,
     theta1: ParamVector,
     id_val: Domain,
-    test_domains: Sequence[Domain],
     grid: Sequence[float] = DEFAULT_GRID,
 ) -> WiseSweepResult:
     """Accuracy table over the static grid; best row by ID validation accuracy,
@@ -293,11 +254,7 @@ def wise_sweep(
         merged = interpolate_pair(theta0, theta1, lam)
         val_probs = forward_batch(arch, merged, id_val.x)
         val_acc = float((val_probs.argmax(axis=1) == id_val.y).mean())
-        row = {"lam": float(lam), "id_val_acc": val_acc, "test_acc": {}}
-        for dom in test_domains:
-            probs = forward_batch(arch, merged, dom.x)
-            row["test_acc"][dom.name] = float((probs.argmax(axis=1) == dom.y).mean())
-        rows.append(row)
+        rows.append({"lam": float(lam), "id_val_acc": val_acc})
         if val_acc > best_acc:
             best_acc, best_lam = val_acc, float(lam)
     return WiseSweepResult(rows=tuple(rows), best_lam=best_lam)
@@ -368,16 +325,8 @@ def dawin_sample_eval(
             arch, domain.x[idx], lambda sl: _interpolated_rows(theta0, theta1, lam[sl])
         )
         merge_count += len(idx)
-    return StrategyResult(
-        strategy="dawin_sample",
-        domain=domain.name,
-        probs=probs,
-        preds=probs.argmax(axis=1),
-        chosen=chosen,
-        merge_count=merge_count,
-        wall_ms=(time.perf_counter() - start) * 1e3,
-        extras={"offset_adjust": options.offset_adjust},
-    )
+    return _result("dawin_sample", domain, probs, start, chosen=chosen, merge_count=merge_count,
+                   extras={"offset_adjust": options.offset_adjust})
 
 
 def dawin_clustered_eval(
@@ -418,14 +367,8 @@ def dawin_clustered_eval(
                 probs[sel] = forward_batch(arch, merged, domain.x[sel])
                 chosen[sel] = comp.mean
         chunk_count += 1
-    return StrategyResult(
-        strategy="dawin_clustered",
-        domain=domain.name,
-        probs=probs,
-        preds=probs.argmax(axis=1),
-        chosen=chosen,
-        merge_count=merge_count,
-        wall_ms=(time.perf_counter() - start) * 1e3,
+    return _result(
+        "dawin_clustered", domain, probs, start, chosen=chosen, merge_count=merge_count,
         extras={"k": int(k), "chunks": chunk_count, "offset_adjust": options.offset_adjust},
     )
 
@@ -473,14 +416,8 @@ def dawin_task_arith_eval(
             if mask.any():
                 probs[mask] = forward_batch(arch, merged, domain.x[mask])
                 chosen[mask] = weights
-    return StrategyResult(
-        strategy="dawin_task_arith",
-        domain=domain.name,
-        probs=probs,
-        preds=probs.argmax(axis=1),
-        chosen=chosen,
-        merge_count=merge_count,
-        wall_ms=(time.perf_counter() - start) * 1e3,
+    return _result(
+        "dawin_task_arith", domain, probs, start, chosen=chosen, merge_count=merge_count,
         extras={"lambda0": float(lambda0), "k": k, "raw_coefficients": rows},
     )
 
@@ -501,16 +438,8 @@ def dcs_eval(
     stacked = np.stack(raw, axis=1)
     probs = stacked[np.arange(domain.n_samples), selected]
     counts = np.bincount(selected, minlength=len(thetas))
-    return StrategyResult(
-        strategy="dcs",
-        domain=domain.name,
-        probs=probs,
-        preds=probs.argmax(axis=1),
-        chosen=None,
-        merge_count=0,
-        wall_ms=(time.perf_counter() - start) * 1e3,
-        extras={"selected_counts": [int(c) for c in counts]},
-    )
+    return _result("dcs", domain, probs, start,
+                   extras={"selected_counts": [int(c) for c in counts]})
 
 
 def doe_eval(
@@ -528,15 +457,7 @@ def doe_eval(
     weights = coeff_multi(ents)
     stacked = np.stack(raw, axis=1)  # (n, M, C)
     probs = (weights[:, :, None] * stacked).sum(axis=1)
-    return StrategyResult(
-        strategy="doe",
-        domain=domain.name,
-        probs=probs,
-        preds=probs.argmax(axis=1),
-        chosen=weights,
-        merge_count=0,
-        wall_ms=(time.perf_counter() - start) * 1e3,
-    )
+    return _result("doe", domain, probs, start, chosen=weights)
 
 
 # ----- oracles ------------------------------------------------------------------
@@ -557,15 +478,7 @@ def oracle_sample_eval(
     probs = _per_sample_probs(
         arch, domain.x, lambda sl: _interpolated_rows(theta0, theta1, lam[sl])
     )
-    return StrategyResult(
-        strategy="oracle_sample",
-        domain=domain.name,
-        probs=probs,
-        preds=probs.argmax(axis=1),
-        chosen=lam,
-        merge_count=n,
-        wall_ms=(time.perf_counter() - start) * 1e3,
-    )
+    return _result("oracle_sample", domain, probs, start, chosen=lam, merge_count=n)
 
 
 def oracle_domain_search(
@@ -588,13 +501,95 @@ def oracle_domain_search(
         if best is None or acc > best[1]:
             best = (float(lam), acc, probs)
     lam_star, _, probs = best
-    return StrategyResult(
-        strategy="oracle_domain",
-        domain=domain.name,
-        probs=probs,
-        preds=probs.argmax(axis=1),
-        chosen=np.full(domain.n_samples, lam_star),
-        merge_count=len(table),
-        wall_ms=(time.perf_counter() - start) * 1e3,
-        extras={"best_lam": lam_star, "table": table},
+    return _result(
+        "oracle_domain", domain, probs, start, chosen=np.full(domain.n_samples, lam_star),
+        merge_count=len(table), extras={"best_lam": lam_star, "table": table},
     )
+
+
+# ----- strategy table -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class StrategyEntry:
+    """How harness.run_main runs one strategy kind.
+
+    run(strategy, experts, suite, domain, options) evaluates the kind on one
+    domain, with experts a harness.ExpertSet. defaults override
+    _KNOB_DEFAULTS for this kind. A task-level kind (on_tasks) needs the task
+    experts, runs on the task test splits, and its report rows record lambda0.
+    """
+
+    run: Callable[..., StrategyResult]
+    defaults: dict = field(default_factory=dict)
+    on_tasks: bool = False
+
+    def domains(self, suite) -> list[Domain]:
+        if self.on_tasks:
+            return [split.test for split in suite.mtl_tasks]
+        return list(suite.test_domains)
+
+
+# Runners name the strategy functions and never hold them, so each call looks
+# the name up in this module when it runs and a rebinding of it (a tracer's
+# wrapper, say) reaches every kind.
+
+
+def _run_wise_sweep(strategy, experts, suite, domain, options):
+    arch, t0, t1 = experts.arch, experts.theta0, experts.theta1
+    sweep = wise_sweep(arch, t0, t1, suite.id_val, strategy.grid)
+    result = static_eval(arch, t0, t1, sweep.best_lam, domain, name="wise_sweep")
+    result.extras["best_lam"] = sweep.best_lam
+    return result
+
+
+def _run_greedy_soup(strategy, experts, suite, domain, options):
+    soup, kept = greedy_soup(experts.arch, [experts.theta0, experts.theta1], suite.id_val)
+    result = model_eval(experts.arch, soup, domain, "greedy_soup")
+    result.extras["kept"] = kept
+    return result
+
+
+# The lambdas abbreviate the runner arguments: s strategy, e experts, o options.
+STRATEGIES = {
+    "zs": StrategyEntry(lambda s, e, suite, dom, o: model_eval(e.arch, e.theta0, dom, "zs")),
+    "ft": StrategyEntry(lambda s, e, suite, dom, o: model_eval(e.arch, e.theta1, dom, "ft")),
+    "static": StrategyEntry(
+        lambda s, e, suite, dom, o: static_eval(e.arch, e.theta0, e.theta1, s.lam, dom)
+    ),
+    "wise_sweep": StrategyEntry(_run_wise_sweep),
+    "uniform_soup": StrategyEntry(
+        lambda s, e, suite, dom, o: model_eval(
+            e.arch, uniform_soup([e.theta0, e.theta1]), dom, "uniform_soup"
+        )
+    ),
+    "greedy_soup": StrategyEntry(_run_greedy_soup),
+    "dawin_sample": StrategyEntry(
+        lambda s, e, suite, dom, o: dawin_sample_eval(e.arch, e.theta0, e.theta1, dom, o)
+    ),
+    "dawin_clustered": StrategyEntry(
+        lambda s, e, suite, dom, o: dawin_clustered_eval(
+            e.arch, e.theta0, e.theta1, dom, k=s.k, options=o
+        )
+    ),
+    "dawin_task_arith": StrategyEntry(
+        lambda s, e, suite, dom, o: dawin_task_arith_eval(
+            e.arch, e.theta0, e.task_params(), e.task_vectors(), dom,
+            lambda0=s.lambda0, k=s.k, options=o,
+        ),
+        defaults={"k": 1},
+        on_tasks=True,
+    ),
+    "dcs": StrategyEntry(
+        lambda s, e, suite, dom, o: dcs_eval(e.arch, [e.theta0, e.theta1], dom, o)
+    ),
+    "doe": StrategyEntry(
+        lambda s, e, suite, dom, o: doe_eval(e.arch, [e.theta0, e.theta1], dom, o)
+    ),
+    "oracle_sample": StrategyEntry(
+        lambda s, e, suite, dom, o: oracle_sample_eval(e.arch, e.theta0, e.theta1, dom)
+    ),
+    "oracle_domain": StrategyEntry(
+        lambda s, e, suite, dom, o: oracle_domain_search(e.arch, e.theta0, e.theta1, dom, s.grid)
+    ),
+}

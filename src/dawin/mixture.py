@@ -294,12 +294,6 @@ def infer_membership(
     return int(member) if np.ndim(member) == 0 else member
 
 
-def component_mean(model: BetaMixtureModel, k: int) -> float:
-    if not 0 <= k < model.k:
-        raise IndexError(f"component index {k} out of range for K={model.k}")
-    return model.components[k].mean
-
-
 # ----- Dirichlet variant --------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -329,15 +323,6 @@ class DirichletMixtureModel:
     @property
     def n_models(self) -> int:
         return len(self.components[0].alpha)
-
-
-def dirichlet_log_pdf(rows: np.ndarray, alpha: np.ndarray) -> np.ndarray | float:
-    """Log Dirichlet density per row; coordinates clipped like the Beta case."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if np.any(alpha <= 0.0):
-        raise ValueError("concentration parameters must be positive")
-    out = _dirichlet_log_density(_clipped_log_rows(rows), alpha)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def _clipped_log_rows(rows) -> np.ndarray:

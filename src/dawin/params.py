@@ -53,10 +53,6 @@ class ParamVector:
     def __len__(self) -> int:
         return int(self.values.shape[0])
 
-    def with_values(self, values: Any) -> "ParamVector":
-        """Same layout, new numbers."""
-        return ParamVector(values, self.layout_id)
-
 
 @dataclass(frozen=True)
 class TaskVector:
@@ -171,27 +167,39 @@ def mlp_layout_id(
     return f"mlp:d{int(input_dim)}:h{hidden}:{activation}:c{int(class_count)}"
 
 
-_HEADER_ARCH_KEYS = ("input_dim", "hidden_widths", "class_count", "activation")
+def _int_list(values) -> list[int]:
+    if not isinstance(values, (list, tuple)):
+        raise TypeError("expected a list")
+    return [int(w) for w in values]
+
+
+# Architecture header fields and the conversion each value must pass.
+_HEADER_ARCH_FIELDS = {
+    "input_dim": int,
+    "hidden_widths": _int_list,
+    "class_count": int,
+    "activation": str,
+}
 
 
 def _validate_arch_header(arch: dict) -> dict:
+    """The architecture fields of a checkpoint header, converted; a missing
+    or ill-typed field raises CheckpointFormatError naming the field."""
     if not isinstance(arch, dict):
         raise CheckpointFormatError("header field 'arch' must be an object")
-    for key in _HEADER_ARCH_KEYS:
+    out = {}
+    for key, convert in _HEADER_ARCH_FIELDS.items():
         if key not in arch:
             raise CheckpointFormatError(f"header arch missing key {key!r}")
-    input_dim = int(arch["input_dim"])
-    class_count = int(arch["class_count"])
-    hidden = [int(w) for w in arch["hidden_widths"]]
-    activation = str(arch["activation"])
-    if input_dim < 1 or class_count < 2 or any(w < 1 for w in hidden):
+        try:
+            out[key] = convert(arch[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise CheckpointFormatError(
+                f"header arch field {key!r} has bad value {arch[key]!r}"
+            ) from exc
+    if out["input_dim"] < 1 or out["class_count"] < 2 or any(w < 1 for w in out["hidden_widths"]):
         raise CheckpointFormatError("header arch has non-positive dimensions")
-    return {
-        "input_dim": input_dim,
-        "hidden_widths": hidden,
-        "class_count": class_count,
-        "activation": activation,
-    }
+    return out
 
 
 @dataclass(frozen=True)
@@ -265,7 +273,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     offset += header_len
     if not isinstance(header, dict) or "arch" not in header or "param_count" not in header:
         raise CheckpointFormatError(f"{path}: header missing required fields")
-    arch = _validate_arch_header(header["arch"])
+    try:
+        arch = _validate_arch_header(header["arch"])
+    except CheckpointFormatError as exc:
+        raise CheckpointFormatError(f"{path}: {exc}") from exc
     declared = int(header["param_count"])
     payload_bytes = blob[offset:]
     if len(payload_bytes) % 8 != 0 or len(payload_bytes) // 8 != declared:

@@ -2,13 +2,14 @@ import dataclasses
 import json
 import re
 import shutil
+import struct
 import subprocess
 
 import numpy as np
 import pytest
 
 from conftest import TINY_SPEC
-from dawin import cli
+from dawin import cli, harness
 from dawin.harness import load_report, report_signature
 from dawin.mixture import mixture_from_dict
 from dawin.params import checkpoint_id, load_checkpoint
@@ -168,6 +169,89 @@ def test_corrupt_checkpoint_exits_2(cli_env, tmp_path):
         "--strategy", "zs", "--out", str(tmp_path / "r.json"),
     ])
     assert code == 2
+
+
+def _with_arch_field(src, dst, key, value):
+    """Copy a checkpoint with one field of its header's arch replaced."""
+    blob = src.read_bytes()
+    (length,) = struct.unpack_from("<I", blob, 5)
+    header = json.loads(blob[9 : 9 + length])
+    header["arch"][key] = value
+    text = json.dumps(header).encode("utf-8")
+    dst.write_bytes(blob[:5] + struct.pack("<I", len(text)) + text + blob[9 + length :])
+
+
+@pytest.mark.parametrize(
+    "key, value", [("activation", "gelu"), ("input_dim", "x"), ("hidden_widths", None)]
+)
+def test_bad_checkpoint_header_field_exits_2(cli_env, tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.ckpt"
+    _with_arch_field(cli_env["zs"], bad, key, value)
+    capsys.readouterr()
+    code = cli.main([
+        "eval", "--suite", str(cli_env["suite"]),
+        "--theta0", str(bad), "--theta1", str(cli_env["ft"]),
+        "--strategy", "zs", "--out", str(tmp_path / "r.json"),
+    ])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and str(bad) in err[0] and repr(key) in err[0], err
+
+
+def test_manifest_missing_role_exits_2(cli_env, tmp_path, capsys):
+    suite = tmp_path / "suite"
+    shutil.copytree(cli_env["suite"], suite)
+    manifest = json.loads((suite / "manifest.json").read_text())
+    del manifest["roles"]["pretrain_mix"]
+    (suite / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = cli.main(["eval", "--suite", str(suite), "--strategy", "zs",
+                     "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and "manifest.json" in err[0] and "'pretrain_mix'" in err[0], err
+
+
+@pytest.fixture(scope="module")
+def task_ckpts(cli_env):
+    """Two short CLI-trained task experts on the tiny suite."""
+    paths = []
+    for index in range(2):
+        path = cli_env["root"] / f"task{index}.ckpt"
+        assert cli.main([
+            "train", "--suite", str(cli_env["suite"]), "--role", "task",
+            "--task-index", str(index), "--init", str(cli_env["zs"]),
+            "--epochs", "1", "--out", str(path),
+        ]) == 0
+        paths.append(path)
+    return paths
+
+
+@pytest.mark.parametrize("flags, k", [((), 1), (("--k", "2"), 2)])
+def test_eval_task_arith_records_its_k(cli_env, task_ckpts, tmp_path, flags, k):
+    out = tmp_path / "r.json"
+    assert cli.main([
+        "eval", "--suite", str(cli_env["suite"]),
+        "--theta0", str(cli_env["zs"]), "--theta1", str(cli_env["ft"]),
+        "--task-expert", str(task_ckpts[0]), "--task-expert", str(task_ckpts[1]),
+        "--strategy", "dawin_task_arith", *flags, "--out", str(out),
+    ]) == 0
+    report = load_report(out)
+    assert [s["k"] for s in report.config["strategies"]] == [k]
+    assert len(report.rows) == 2
+
+
+def test_unknown_strategy_exits_1_before_training(cli_env, tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("experts were built before the strategy was checked")
+
+    monkeypatch.setattr(harness, "build_experts", no_training)
+    capsys.readouterr()
+    code = cli.main(["eval", "--suite", str(cli_env["suite"]), "--strategy", "telepathy",
+                     "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and "telepathy" in err[0], err
 
 
 def test_analyze_writes_report(cli_env, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -72,6 +73,17 @@ def test_suite_round_trip(tiny_suite, tmp_path):
         np.testing.assert_array_equal(dom.x, other.x)
         np.testing.assert_array_equal(dom.y, other.y)
         assert dom.shift_spec == other.shift_spec
+
+
+@pytest.mark.parametrize("role", ["pretrain_mix", "id_val", "ood_tests"])
+def test_manifest_missing_role_is_a_data_error(tiny_suite, tmp_path, role):
+    save_suite(tiny_suite, tmp_path / "suite")
+    path = tmp_path / "suite" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["roles"][role]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DataFormatError, match=f"manifest.json: .*'{role}'"):
+        load_suite(tmp_path / "suite")
 
 
 def test_class_priors_are_near_uniform(suite0):

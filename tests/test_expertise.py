@@ -13,7 +13,6 @@ from dawin.expertise import (
     coeff_multi,
     coeff_pair,
     coeff_pair_offset,
-    correctness_split,
     domain_offset,
     entropy,
     load_coefficients,
@@ -202,13 +201,6 @@ def test_coeff_modes_list():
 # ----- splits and correlation ------------------------------------------------------
 
 
-def test_correctness_split_cases():
-    assert correctness_split(3, 3, 3) is Split.TRUE_TRUE
-    assert correctness_split(3, 5, 3) is Split.TRUE_FALSE
-    assert correctness_split(5, 3, 3) is Split.FALSE_TRUE
-    assert correctness_split(5, 6, 3) is Split.FALSE_FALSE
-
-
 def test_split_masks_partition():
     rng = np.random.default_rng(5)
     y = rng.integers(0, 4, size=200)
@@ -219,6 +211,17 @@ def test_split_masks_partition():
     for mask in masks.values():
         total += mask.astype(int)
     assert np.all(total == 1)
+    # the first position reports model 0's correctness, the second model 1's
+    cases = {
+        (3, 3, 3): Split.TRUE_TRUE,
+        (3, 5, 3): Split.TRUE_FALSE,
+        (5, 3, 3): Split.FALSE_TRUE,
+        (5, 6, 3): Split.FALSE_FALSE,
+    }
+    p0, p1, y = (np.array(column) for column in zip(*cases))
+    masks = split_masks(p0, p1, y)
+    for i, split in enumerate(cases.values()):
+        assert [name for name, mask in masks.items() if mask[i]] == [split.value]
 
 
 def test_pearson_closed_forms():

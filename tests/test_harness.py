@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dawin import harness
+from dawin import harness, merge
 from dawin.errors import DataFormatError
 from dawin.harness import (
     EvalReport,
@@ -17,9 +17,15 @@ from dawin.harness import (
     run_analysis,
     run_main,
     run_pilot,
-    strategy_from_kind,
 )
-from dawin.merge import MergeOptions, STRATEGY_KINDS, dawin_sample_eval, model_eval
+from dawin.merge import (
+    DEFAULT_GRID,
+    STRATEGIES,
+    MergeOptions,
+    MergeStrategy,
+    dawin_sample_eval,
+    model_eval,
+)
 
 PILOT_NAMES = {"zs", "ft", "static_best", "oracle_domain", "oracle_sample"}
 
@@ -134,18 +140,34 @@ def test_pilot_signature_is_reproducible(suite0, experts0, pilot0):
     assert report_signature(again) == report_signature(pilot0)
 
 
-def test_strategy_from_kind_defaults():
-    for kind in STRATEGY_KINDS:
-        strat = strategy_from_kind(kind)
+def test_merge_strategy_takes_kind_defaults():
+    for kind in STRATEGIES:
+        strat = MergeStrategy(kind)
         assert strat.kind == kind
-    assert strategy_from_kind("dawin_task_arith").k == 1
+        assert (strat.lam, strat.grid, strat.lambda0) == (0.5, DEFAULT_GRID, 0.3)
+    assert MergeStrategy("dawin_clustered").k == 3
+    assert MergeStrategy("dawin_task_arith").k == 1
+    assert MergeStrategy("dawin_task_arith", k=2).k == 2
     with pytest.raises(ValueError):
-        strategy_from_kind("telepathy")
+        MergeStrategy("telepathy")
+
+
+def test_run_main_finds_strategy_functions_when_it_runs(suite0, experts0, monkeypatch):
+    # a runner that held model_eval itself would miss a rebinding of the name
+    real, names = merge.model_eval, []
+
+    def spy(*args, **kwargs):
+        names.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(merge, "model_eval", spy)
+    run_main(suite0, ["zs", "uniform_soup"], experts=experts0)
+    assert names == ["zs"] * len(suite0.test_domains) + ["uniform_soup"] * len(suite0.test_domains)
 
 
 def test_run_main_dispatches_every_pair_kind(suite0, experts0):
-    kinds = [k for k in STRATEGY_KINDS if k != "dawin_task_arith"]
-    report = run_main(suite0, STRATEGY_KINDS, experts=experts0)
+    kinds = [k for k in STRATEGIES if k != "dawin_task_arith"]
+    report = run_main(suite0, list(STRATEGIES), experts=experts0)
     task_rows = [r for r in report.rows if r["strategy"] == "dawin_task_arith"]
     # the multi-task rule runs on the task test splits with K=1: one merge each
     assert [r["domain"] for r in task_rows] == [s.test.name for s in suite0.mtl_tasks]

@@ -8,9 +8,9 @@ from dawin.expertise import coeff_multi, coeff_pair_offset, entropy, oracle_coef
 from dawin.merge import (
     DEFAULT_GRID,
     STACK_ROWS,
+    STRATEGIES,
     MergeOptions,
     MergeStrategy,
-    STRATEGY_KINDS,
     dawin_clustered_eval,
     dawin_sample_eval,
     dawin_task_arith_eval,
@@ -20,7 +20,6 @@ from dawin.merge import (
     model_eval,
     oracle_domain_search,
     oracle_sample_eval,
-    save_predictions,
     static_eval,
     uniform_soup,
     wise_sweep,
@@ -55,7 +54,7 @@ def test_static_endpoints_match_raw_models():
 
 
 def test_wise_sweep_grid_contract():
-    out = wise_sweep(ARCH, T0, T1, DOM, (), DEFAULT_GRID)
+    out = wise_sweep(ARCH, T0, T1, DOM, DEFAULT_GRID)
     assert len(out.rows) == 9
     # best row by exhaustive re-scan
     best = max(out.rows, key=lambda r: r["id_val_acc"])
@@ -63,7 +62,7 @@ def test_wise_sweep_grid_contract():
 
 
 def test_wise_sweep_binary_grid_compares_raw_models():
-    out = wise_sweep(ARCH, T0, T1, DOM, (), (0.0, 1.0))
+    out = wise_sweep(ARCH, T0, T1, DOM, (0.0, 1.0))
     accs = {r["lam"]: r["id_val_acc"] for r in out.rows}
     zs = model_eval(ARCH, T0, DOM, "zs")
     ft = model_eval(ARCH, T1, DOM, "ft")
@@ -72,7 +71,7 @@ def test_wise_sweep_binary_grid_compares_raw_models():
 
 
 def test_wise_sweep_tie_breaks_toward_smaller_lambda():
-    out = wise_sweep(ARCH, T0, T0, DOM, (), DEFAULT_GRID)  # all rows tie
+    out = wise_sweep(ARCH, T0, T0, DOM, DEFAULT_GRID)  # all rows tie
     assert out.best_lam == DEFAULT_GRID[0]
 
 
@@ -229,20 +228,13 @@ def test_oracle_domain_max_of_table():
 
 
 def test_strategy_kinds_inventory():
-    assert "dawin_sample" in STRATEGY_KINDS
-    assert "dawin_clustered" in STRATEGY_KINDS
-    assert "dawin_task_arith" in STRATEGY_KINDS
+    assert len(STRATEGIES) == 13
+    assert "dawin_sample" in STRATEGIES
+    assert "dawin_clustered" in STRATEGIES
+    # only the multi-task rule runs on the task splits
+    assert [kind for kind, entry in STRATEGIES.items() if entry.on_tasks] == ["dawin_task_arith"]
     with pytest.raises(ValueError):
         MergeStrategy(kind="nope")
-
-
-def test_save_predictions_csv(tmp_path):
-    out = static_eval(ARCH, T0, T1, 0.5, DOM)
-    path = tmp_path / "preds.csv"
-    save_predictions(out, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "sample_index,argmax,chosen_lambda_json,strategy"
-    assert len(lines) == DOM.n_samples + 1
 
 
 def test_batch_size_chunking_matches_full_batch():

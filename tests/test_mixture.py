@@ -20,7 +20,6 @@ from dawin.mixture import (
     _dirichlet_mom,
     _logsumexp_components,
     beta_log_pdf,
-    component_mean,
     dirichlet_component_mean,
     dirichlet_em_fit,
     dirichlet_membership,
@@ -86,7 +85,7 @@ def test_em_single_component_recovery():
     rng = np.random.default_rng(0)
     values = rng.beta(2.0, 5.0, size=20000)
     model = em_fit(values, 1, seed=0)
-    assert abs(component_mean(model, 0) - 2.0 / 7.0) < 0.02
+    assert abs(model.components[0].mean - 2.0 / 7.0) < 0.02
 
 
 def test_em_two_component_recovery():
@@ -150,7 +149,7 @@ def test_component_mean_closed_forms():
     assert abs(BetaComponent(8.0, 3.0, 1.0).mean - 8.0 / 11.0) < 1e-12
     assert BetaComponent(2.0, 2.0, 1.0).mean == 0.5
     assert BetaComponent(1.0, 3.0, 1.0).mean == 0.25
-    assert 0.0 < component_mean(model, 0) < 1.0
+    assert 0.0 < model.components[0].mean < 1.0
 
 
 def test_mixture_mean_consistency():

@@ -29,7 +29,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from dawin import databench, harness
-from dawin.merge import STRATEGY_KINDS, dawin_task_arith_eval
+from dawin.merge import STRATEGIES, dawin_task_arith_eval
 from workloads import LAMBDA0
 from workloads import digest as full_digest
 
@@ -44,7 +44,7 @@ def seed_digests(seed: int) -> dict:
     out = {
         "pilot": digest(harness.report_signature(harness.run_pilot(suite, experts))),
         "main": digest(
-            harness.report_signature(harness.run_main(suite, STRATEGY_KINDS, experts=experts))
+            harness.report_signature(harness.run_main(suite, list(STRATEGIES), experts=experts))
         ),
         "analysis": digest(harness.report_signature(harness.run_analysis(suite, experts))),
     }
