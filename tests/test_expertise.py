@@ -211,6 +211,9 @@ def test_split_masks_partition():
     for mask in masks.values():
         total += mask.astype(int)
     assert np.all(total == 1)
+
+
+def test_correctness_split_cases():
     # the first position reports model 0's correctness, the second model 1's
     cases = {
         (3, 3, 3): Split.TRUE_TRUE,
