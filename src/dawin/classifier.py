@@ -2,7 +2,8 @@
 
 Pure numpy so that a fixed seed gives bit-identical checkpoints. Parameters
 live in the flat layout defined by params.mlp_layer_shapes; unpack() returns
-reshaped views into that vector.
+reshaped views into that vector. Training runs on one in-place SGD kernel
+over a stack of models (train_many); train is that kernel with one job.
 """
 
 from __future__ import annotations
@@ -23,12 +24,20 @@ from .params import (
     mlp_param_count,
 )
 
-# Activation and its derivative, the latter written in terms of the
-# activation output so the forward cache is enough for backprop.
+
+def _tanh_slope(a: np.ndarray, out: np.ndarray) -> None:
+    np.multiply(a, a, out=out)
+    np.subtract(1.0, out, out=out)
+
+
+# Activation, applied in place to a fresh pre-activation buffer and returning
+# it, and its derivative, written into a buffer in terms of the activation
+# output so the forward cache is enough for backprop. The identity's
+# derivative is None: backprop skips the multiply by one.
 _ACTIVATIONS = {
-    "tanh": (np.tanh, lambda a: 1.0 - a * a),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda a: (a > 0.0).astype(np.float64)),
-    "identity": (lambda z: z, lambda a: np.ones_like(a)),
+    "tanh": (lambda z: np.tanh(z, out=z), _tanh_slope),
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a, out: np.greater(a, 0.0, out=out)),
+    "identity": (lambda z: z, None),
 }
 
 
@@ -107,8 +116,8 @@ def unpack(arch: MlpArchitecture, theta: ParamVector | np.ndarray) -> list[tuple
 
 def _unpack_stack(arch: MlpArchitecture, thetas: np.ndarray, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """unpack for an (n, P) stack: W views of shape (n, fan_in, fan_out) and
-    b views of shape (n, 1, fan_out). Kept apart from unpack, which every
-    SGD step calls, so that the one-vector path pays nothing for stacks."""
+    b views of shape (n, 1, fan_out). The stacked forward and the SGD kernel
+    both read their stacks through it."""
     if thetas.shape != (n, arch.param_count):
         raise ValueError(
             f"expected a ({n}, {arch.param_count}) parameter stack for {arch.layout_id}, "
@@ -169,10 +178,12 @@ def logits_batch(arch: MlpArchitecture, theta: ParamVector | np.ndarray, x: np.n
     return logits[:, 0, :] if stacked else logits
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, each row on its own; out may be z itself."""
+    out = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def forward_batch(
@@ -218,43 +229,221 @@ def mean_xentropy(
     return _nll_at_temperature(logits_batch(arch, theta, x), y, 1.0)
 
 
-def _grad(
-    arch: MlpArchitecture,
-    theta: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    weight_decay: float,
-) -> np.ndarray:
-    """Gradient of the mean cross-entropy plus the L2 term on the weights."""
-    layers = unpack(arch, theta)
-    act, dact = _ACTIVATIONS[arch.activation]
-    acts = [x]
-    for w, b in layers[:-1]:
-        acts.append(act(acts[-1] @ w + b))
-    w_out, b_out = layers[-1]
-    delta = _softmax(acts[-1] @ w_out + b_out)
-    n = x.shape[0]
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
-    grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(layers)
-    grads[-1] = (acts[-1].T @ delta, delta.sum(axis=0))
-    back = delta @ w_out.T
-    for li in range(len(layers) - 2, -1, -1):
-        dz = back * dact(acts[li + 1])
-        grads[li] = (acts[li].T @ dz, dz.sum(axis=0))
-        if li > 0:
-            back = dz @ layers[li][0].T
+@dataclass(frozen=True, eq=False)
+class TrainJob:
+    """One model for train_many: its data and config, and where it starts
+    (init, else the parent's payload, else a fresh draw from config.seed).
+    The parent's id is recorded in meta."""
 
-    flat = np.empty_like(theta)
-    offset = 0
-    for (gw, gb), (w, _) in zip(grads, layers):
-        if weight_decay > 0.0:
-            gw = gw + weight_decay * w
-        flat[offset : offset + gw.size] = gw.ravel()
-        offset += gw.size
-        flat[offset : offset + gb.size] = gb
-        offset += gb.size
-    return flat
+    x: np.ndarray
+    y: np.ndarray
+    config: TrainConfig = TrainConfig()
+    init: ParamVector | None = None
+    dataset_id: str = ""
+    parent: Checkpoint | None = None
+
+
+class _SgdStack:
+    """k models under SGD as one (k, P) stack: parameters, velocity and
+    gradient, their per-layer views (made once), each model's learning rate,
+    momentum and weight decay, and scratch buffers per batch length."""
+
+    def __init__(self, arch: MlpArchitecture, theta: np.ndarray, configs: list[TrainConfig]):
+        k = theta.shape[0]
+        self.arch = arch
+        self.theta = theta
+        self.velocity = np.zeros_like(theta)
+        self.grad = np.empty_like(theta)
+        self.tmp = np.empty_like(theta)
+        self.layers = _unpack_stack(arch, theta, k)
+        self.grad_layers = [(w, b[:, 0, :]) for w, b in _unpack_stack(arch, self.grad, k)]
+        self.tmp_weights = [w for w, _ in _unpack_stack(arch, self.tmp, k)]
+        self.lr = np.array([[c.learning_rate] for c in configs])
+        self.momentum = np.array([[c.momentum] for c in configs])
+        self.decay = np.array([[c.weight_decay] for c in configs])
+        # A model without decay gets no decay term: g + 0 * w turns -0.0 into +0.0.
+        self.decayed = [i for i, c in enumerate(configs) if c.weight_decay > 0.0]
+        self._scratch: dict[int, dict] = {}
+
+    def scratch(self, n: int) -> dict:
+        """Activation, backprop and softmax buffers for batches of n rows."""
+        s = self._scratch.get(n)
+        if s is None:
+            k, arch = self.theta.shape[0], self.arch
+            hidden = [(k, n, w) for w in arch.hidden_widths]
+            s = self._scratch[n] = {
+                "x": np.empty((k, n, arch.input_dim)),
+                "hot": np.empty((k, n), dtype=np.int64),
+                "hot_offset": (np.arange(k) * (n * arch.class_count))[:, None],
+                "hidden": [np.empty(shape) for shape in hidden],
+                "back": [np.empty(shape) for shape in hidden],
+                "slope": [np.empty(shape) for shape in hidden],
+                "delta": np.empty((k, n, arch.class_count)),
+            }
+        return s
+
+    def step(self, x: np.ndarray, hot: np.ndarray) -> None:
+        """One SGD-with-momentum step of every model on its own batch:
+        v = momentum * v + grad, theta = theta - lr * v."""
+        _stack_grad(self, x, hot)
+        self.velocity *= self.momentum
+        self.velocity += self.grad
+        np.multiply(self.velocity, self.lr, out=self.tmp)
+        self.theta -= self.tmp
+
+
+def _stack_grad(stack: _SgdStack, x: np.ndarray, hot: np.ndarray) -> np.ndarray:
+    """Gradient of each model's mean cross-entropy on its own batch, plus the
+    L2 term on its weights, written into stack.grad and returned.
+
+    x is (k, n, d): model i sees rows x[i]. hot holds, per model, the flat
+    indices into its (n, C) block of the true labels, offset by i * n * C.
+    Slice i equals a k = 1 call on x[i]: each matmul is one BLAS call per
+    slice, and every other operation is elementwise or reduces within a slice.
+    """
+    k, n, _ = x.shape
+    s = stack.scratch(n)
+    act, slope = _ACTIVATIONS[stack.arch.activation]
+    acts = [x]
+    for (w, b), z in zip(stack.layers[:-1], s["hidden"]):
+        np.matmul(acts[-1], w, out=z)
+        z += b
+        acts.append(act(z))
+    w_out, b_out = stack.layers[-1]
+    delta = s["delta"]
+    np.matmul(acts[-1], w_out, out=delta)
+    delta += b_out
+    _softmax(delta, out=delta)
+    delta.reshape(-1)[hot.reshape(-1)] -= 1.0
+    delta /= n
+
+    back = delta
+    for li in range(len(stack.layers) - 1, -1, -1):
+        gw, gb = stack.grad_layers[li]
+        if li < len(stack.layers) - 1:
+            dz = s["back"][li]
+            np.matmul(back, stack.layers[li + 1][0].transpose(0, 2, 1), out=dz)
+            if slope is not None:
+                slope(acts[li + 1], s["slope"][li])
+                dz *= s["slope"][li]
+            back = dz
+        np.matmul(acts[li].transpose(0, 2, 1), back, out=gw)
+        np.add.reduce(back, axis=1, out=gb)
+
+    if stack.decayed:
+        np.multiply(stack.theta, stack.decay, out=stack.tmp)
+        pairs = zip(stack.grad_layers, stack.tmp_weights)
+        if len(stack.decayed) == k:
+            for (gw, _), tw in pairs:
+                gw += tw
+        else:
+            for (gw, _), tw in pairs:
+                for i in stack.decayed:
+                    gw[i] += tw[i]
+    return stack.grad
+
+
+def train_many(arch: MlpArchitecture, jobs: list[TrainJob]) -> list[Checkpoint]:
+    """Minibatch SGD with momentum on mean cross-entropy for M >= 1 models in
+    lockstep, as one (M, P) stack; one checkpoint per job, in job order.
+
+    Each job draws its init (when it has none) and one permutation per epoch
+    from its own default_rng(config.seed). At every step the jobs whose
+    batches have the same length take one stacked step; a job with a short
+    batch steps apart, and a finished job drops out, so no batch is padded.
+    Each checkpoint is therefore bit-identical to training its job alone,
+    and the same inputs give the same checkpoints.
+    """
+    jobs = list(jobs)
+    if not jobs:
+        raise ValueError("train_many needs at least one job")
+    data, rngs, starts = [], [], []
+    for job in jobs:
+        x = _check_inputs(arch, job.x)
+        y = np.asarray(job.y)
+        if y.shape != (x.shape[0],):
+            raise ValueError(f"labels must have shape ({x.shape[0]},), got {y.shape}")
+        y = y.astype(np.int64)
+        if y.min() < 0 or y.max() >= arch.class_count:
+            raise ValueError("labels out of range for the architecture's class count")
+        data.append((x, y))
+        rng = np.random.default_rng(job.config.seed)
+        init = job.init
+        if init is None and job.parent is not None:
+            init = job.parent.payload
+        if init is not None:
+            if init.layout_id != arch.layout_id:
+                raise ValueError(f"init layout {init.layout_id!r} does not match {arch.layout_id!r}")
+            starts.append(init.values)
+        else:
+            starts.append(init_params(arch, rng))
+        rngs.append(rng)
+
+    configs = [job.config for job in jobs]
+    everyone = tuple(range(len(jobs)))
+    full = _SgdStack(arch, np.array(starts, dtype=np.float64), configs)
+    theta = full.theta
+    substacks: dict[tuple[int, ...], _SgdStack] = {}
+    sizes = [x.shape[0] for x, _ in data]
+    per_epoch = [-(-n // c.batch_size) for n, c in zip(sizes, configs)]
+    total = [c.epochs * e for c, e in zip(configs, per_epoch)]
+    epoch_x: list[np.ndarray | None] = [None] * len(jobs)
+    epoch_hot: list[np.ndarray | None] = [None] * len(jobs)
+
+    for t in range(max(total)):
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for i in everyone:
+            if t >= total[i]:
+                continue
+            lo = (t % per_epoch[i]) * configs[i].batch_size
+            if lo == 0:
+                x, y = data[i]
+                order = rngs[i].permutation(sizes[i])
+                epoch_x[i] = x[order]
+                # Flat index of each row's true label within its batch's (n, C) block.
+                row = np.arange(sizes[i]) % configs[i].batch_size
+                epoch_hot[i] = row * arch.class_count + y[order]
+            n = min(configs[i].batch_size, sizes[i] - lo)
+            groups.setdefault(n, []).append((i, lo))
+        for n, members in groups.items():
+            idx = tuple(i for i, _ in members)
+            if idx == everyone:
+                stack = full
+            else:
+                rows = list(idx)
+                stack = substacks.get(idx)
+                if stack is None:
+                    stack = substacks[idx] = _SgdStack(arch, theta[rows], [configs[i] for i in idx])
+                stack.theta[...] = theta[rows]
+                stack.velocity[...] = full.velocity[rows]
+            if len(members) == 1:
+                (i, lo), = members
+                xb = epoch_x[i][None, lo : lo + n]
+                hot = epoch_hot[i][None, lo : lo + n]
+            else:
+                s = stack.scratch(n)
+                xb = np.stack([epoch_x[i][lo : lo + n] for i, lo in members], out=s["x"])
+                hot = np.stack([epoch_hot[i][lo : lo + n] for i, lo in members], out=s["hot"])
+                hot += s["hot_offset"]
+            stack.step(xb, hot)
+            if stack is not full:
+                theta[rows] = stack.theta
+                full.velocity[rows] = stack.velocity
+
+    out = []
+    for job, (x, y), values in zip(jobs, data, theta):
+        meta = {
+            "config": asdict(job.config),
+            "dataset_id": job.dataset_id,
+            "final_train_loss": mean_xentropy(arch, values, x, y),
+            "n_train": int(x.shape[0]),
+        }
+        if job.parent is not None:
+            meta["parent"] = checkpoint_id(job.parent)
+        out.append(
+            Checkpoint(arch=arch.to_header(), payload=ParamVector(values, arch.layout_id), meta=meta)
+        )
+    return out
 
 
 def train(
@@ -266,50 +455,13 @@ def train(
     dataset_id: str = "",
     parent: Checkpoint | None = None,
 ) -> Checkpoint:
-    """Minibatch SGD with momentum on mean cross-entropy.
+    """Minibatch SGD with momentum on mean cross-entropy: train_many of one job.
 
     Deterministic: the same inputs, config, and init give a bit-identical
     checkpoint. Pass init (or parent) to fine-tune from an existing model;
     the parent's id is recorded in meta.
     """
-    x = _check_inputs(arch, x)
-    y = np.asarray(y)
-    if y.shape != (x.shape[0],):
-        raise ValueError(f"labels must have shape ({x.shape[0]},), got {y.shape}")
-    y = y.astype(np.int64)
-    if y.min() < 0 or y.max() >= arch.class_count:
-        raise ValueError("labels out of range for the architecture's class count")
-
-    rng = np.random.default_rng(config.seed)
-    if init is None and parent is not None:
-        init = parent.payload
-    if init is not None:
-        if init.layout_id != arch.layout_id:
-            raise ValueError(f"init layout {init.layout_id!r} does not match {arch.layout_id!r}")
-        theta = init.values.copy()
-    else:
-        theta = init_params(arch, rng)
-
-    velocity = np.zeros_like(theta)
-    n = x.shape[0]
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            grad = _grad(arch, theta, x[idx], y[idx], config.weight_decay)
-            velocity = config.momentum * velocity + grad
-            theta = theta - config.learning_rate * velocity
-
-    payload = ParamVector(theta, arch.layout_id)
-    meta = {
-        "config": asdict(config),
-        "dataset_id": dataset_id,
-        "final_train_loss": mean_xentropy(arch, theta, x, y),
-        "n_train": int(n),
-    }
-    if parent is not None:
-        meta["parent"] = checkpoint_id(parent)
-    return Checkpoint(arch=arch.to_header(), payload=payload, meta=meta)
+    return train_many(arch, [TrainJob(x, y, config, init, dataset_id, parent)])[0]
 
 
 def _nll_at_temperature(logits: np.ndarray, y: np.ndarray, temperature: float) -> float:

@@ -15,7 +15,6 @@ directory of CSVs plus a manifest.json.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 from dataclasses import dataclass
@@ -355,15 +354,13 @@ def generate(seed: int, spec: SuiteSpec | None = None) -> BenchmarkSuite:
 # ----- serialization ----------------------------------------------------------
 
 def domain_to_csv(domain: Domain) -> str:
-    buf = io.StringIO()
-    cols = ["label"] + [f"f{i}" for i in range(domain.dim)]
-    buf.write(",".join(cols) + "\n")
-    for label, row in zip(domain.y, domain.x):
-        buf.write(str(int(label)))
-        for v in row:
-            buf.write(",%.17g" % v)
-        buf.write("\n")
-    return buf.getvalue()
+    """The domain as CSV: a label,f0,...,f{dim-1} header, then one row per
+    sample with every feature at 17 significant digits (exact round trip)."""
+    row = "%d" + ",%.17g" * domain.dim + "\n"
+    header = ",".join(["label"] + [f"f{i}" for i in range(domain.dim)]) + "\n"
+    return header + "".join(
+        [row % (label, *values) for label, values in zip(domain.y.tolist(), domain.x.tolist())]
+    )
 
 
 def save_domain(domain: Domain, path: str) -> None:
@@ -456,7 +453,8 @@ def load_suite(directory: str) -> BenchmarkSuite:
         seed = int(manifest["seed"])
         spec = SuiteSpec.from_dict(manifest["spec"])
         roles = dict(manifest["roles"])
-        entries = manifest["domains"]
+        entries = dict(manifest["domains"])
+        task_entries = list(manifest.get("mtl_tasks", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{manifest_path}: malformed manifest: {exc}") from exc
 
@@ -465,11 +463,19 @@ def load_suite(directory: str) -> BenchmarkSuite:
             raise DataFormatError(f"{manifest_path}: manifest names no {name!r} role")
         return roles[name]
 
+    def key(entry, what: str, name: str):
+        if not isinstance(entry, dict) or name not in entry:
+            raise DataFormatError(f"{manifest_path}: {what} has no {name!r} key")
+        return entry[name]
+
     def load_named(name: str) -> Domain:
         entry = entries.get(name)
         if entry is None:
             raise DataFormatError(f"{manifest_path}: manifest lists no domain {name!r}")
-        dom = load_domain(os.path.join(directory, entry["path"]), name, entry["shift_spec"])
+        what = f"domain entry {name!r}"
+        dom = load_domain(
+            os.path.join(directory, key(entry, what, "path")), name, key(entry, what, "shift_spec")
+        )
         if dom.dim != spec.dim:
             raise DataFormatError(f"{name}: dimension {dom.dim} does not match spec {spec.dim}")
         if dom.y.max() >= spec.class_count:
@@ -477,8 +483,11 @@ def load_suite(directory: str) -> BenchmarkSuite:
         return dom
 
     tasks = tuple(
-        TaskSplit(load_named(entry["train"]), load_named(entry["test"]))
-        for entry in manifest.get("mtl_tasks", [])
+        TaskSplit(
+            load_named(key(entry, f"mtl_tasks entry {j}", "train")),
+            load_named(key(entry, f"mtl_tasks entry {j}", "test")),
+        )
+        for j, entry in enumerate(task_entries)
     )
     return BenchmarkSuite(
         seed=seed,

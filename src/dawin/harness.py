@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classifier import MlpArchitecture, TrainConfig, forward_batch, train
+from .classifier import MlpArchitecture, TrainConfig, TrainJob, forward_batch, train, train_many
 from .databench import BenchmarkSuite
 from .errors import DataFormatError, UndefinedOracleError
 from .expertise import (
@@ -120,26 +120,22 @@ def build_experts(
     finetune_config: TrainConfig = FINETUNE_CONFIG,
     with_tasks: bool = True,
 ) -> ExpertSet:
-    """Train the generalist on the pretrain mix, the specialist from it on
-    id_train, and one expert per task split (each from the generalist)."""
+    """Train the generalist on the pretrain mix, then, in one lockstep call,
+    the specialist from it on id_train and one expert per task split (each
+    from the generalist)."""
     arch = arch or default_architecture(suite)
     zs = train(
         arch, suite.pretrain_mix.x, suite.pretrain_mix.y, pretrain_config,
         dataset_id=suite.pretrain_mix.name,
     )
-    ft = train(
-        arch, suite.id_train.x, suite.id_train.y, finetune_config,
-        init=zs.payload, dataset_id=suite.id_train.name, parent=zs,
-    )
-    tasks = []
+    splits = [(suite.id_train, finetune_config)]
     if with_tasks:
-        for j, split in enumerate(suite.mtl_tasks):
-            tasks.append(
-                train(
-                    arch, split.train.x, split.train.y, task_config(j),
-                    init=zs.payload, dataset_id=split.train.name, parent=zs,
-                )
-            )
+        splits += [(split.train, task_config(j)) for j, split in enumerate(suite.mtl_tasks)]
+    ft, *tasks = train_many(
+        arch,
+        [TrainJob(d.x, d.y, config, init=zs.payload, dataset_id=d.name, parent=zs)
+         for d, config in splits],
+    )
     return ExpertSet(arch=arch, pretrain=zs, finetune=ft, task_experts=tuple(tasks))
 
 

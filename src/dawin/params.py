@@ -277,7 +277,12 @@ def load_checkpoint(path: str) -> Checkpoint:
         arch = _validate_arch_header(header["arch"])
     except CheckpointFormatError as exc:
         raise CheckpointFormatError(f"{path}: {exc}") from exc
-    declared = int(header["param_count"])
+    try:
+        declared = int(header["param_count"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointFormatError(
+            f"{path}: header field 'param_count' has bad value {header['param_count']!r}"
+        ) from exc
     payload_bytes = blob[offset:]
     if len(payload_bytes) % 8 != 0 or len(payload_bytes) // 8 != declared:
         raise CheckpointFormatError(

@@ -1,17 +1,25 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from dawin.classifier import (
     MlpArchitecture,
     TrainConfig,
+    TrainJob,
+    _check_inputs,
+    _SgdStack,
+    _stack_grad,
     calibrate_temperature,
     forward_batch,
     init_params,
     logits_batch,
+    mean_xentropy,
     train,
+    train_many,
     unpack,
 )
-from dawin.params import ParamVector, checkpoint_id
+from dawin.params import Checkpoint, ParamVector, checkpoint_id
 
 ARCH = MlpArchitecture(input_dim=4, hidden_widths=(8,), class_count=3)
 
@@ -50,14 +58,13 @@ def test_probs_rows_on_simplex():
 
 
 def test_gradient_matches_finite_differences():
-    from dawin.classifier import _grad, mean_xentropy
-
     rng = np.random.default_rng(2)
     arch = MlpArchitecture(input_dim=3, hidden_widths=(5,), class_count=2)
     theta = init_params(arch, rng) + 0.1 * rng.normal(size=arch.param_count)
     x = rng.normal(size=(12, 3))
     y = rng.integers(0, 2, size=12)
-    grad = _grad(arch, theta, x, y, weight_decay=0.0)
+    stack = _SgdStack(arch, theta[None].copy(), [TrainConfig(weight_decay=0.0)])
+    grad = _stack_grad(stack, x[None], (np.arange(12) * 2 + y)[None])[0]
     h = 1e-5
     for i in rng.choice(arch.param_count, size=10, replace=False):
         bump = np.zeros_like(theta)
@@ -66,6 +73,118 @@ def test_gradient_matches_finite_differences():
         hi = mean_xentropy(arch, theta + bump, x, y)
         fd = (hi - lo) / (2 * h)
         assert abs(fd - grad[i]) <= 1e-4 * max(1.0, abs(fd))
+
+
+# ----- the one-model SGD loop this kernel replaced, kept as its oracle ----------
+# Copied verbatim from the loop it replaced (names prefixed _ref), with its
+# activation table and softmax, so the oracle shares only _check_inputs,
+# init_params, unpack and mean_xentropy with the package.
+
+_REF_ACTIVATIONS = {
+    "tanh": (np.tanh, lambda a: 1.0 - a * a),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda a: (a > 0.0).astype(np.float64)),
+    "identity": (lambda z: z, lambda a: np.ones_like(a)),
+}
+
+
+def _ref_softmax(z: np.ndarray) -> np.ndarray:
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _ref_grad(
+    arch: MlpArchitecture,
+    theta: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    weight_decay: float,
+) -> np.ndarray:
+    """Gradient of the mean cross-entropy plus the L2 term on the weights."""
+    layers = unpack(arch, theta)
+    act, dact = _REF_ACTIVATIONS[arch.activation]
+    acts = [x]
+    for w, b in layers[:-1]:
+        acts.append(act(acts[-1] @ w + b))
+    w_out, b_out = layers[-1]
+    delta = _ref_softmax(acts[-1] @ w_out + b_out)
+    n = x.shape[0]
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(layers)
+    grads[-1] = (acts[-1].T @ delta, delta.sum(axis=0))
+    back = delta @ w_out.T
+    for li in range(len(layers) - 2, -1, -1):
+        dz = back * dact(acts[li + 1])
+        grads[li] = (acts[li].T @ dz, dz.sum(axis=0))
+        if li > 0:
+            back = dz @ layers[li][0].T
+
+    flat = np.empty_like(theta)
+    offset = 0
+    for (gw, gb), (w, _) in zip(grads, layers):
+        if weight_decay > 0.0:
+            gw = gw + weight_decay * w
+        flat[offset : offset + gw.size] = gw.ravel()
+        offset += gw.size
+        flat[offset : offset + gb.size] = gb
+        offset += gb.size
+    return flat
+
+
+def _ref_train(
+    arch: MlpArchitecture,
+    x: np.ndarray,
+    y: np.ndarray,
+    config: TrainConfig = TrainConfig(),
+    init: ParamVector | None = None,
+    dataset_id: str = "",
+    parent: Checkpoint | None = None,
+) -> Checkpoint:
+    """Minibatch SGD with momentum on mean cross-entropy.
+
+    Deterministic: the same inputs, config, and init give a bit-identical
+    checkpoint. Pass init (or parent) to fine-tune from an existing model;
+    the parent's id is recorded in meta.
+    """
+    x = _check_inputs(arch, x)
+    y = np.asarray(y)
+    if y.shape != (x.shape[0],):
+        raise ValueError(f"labels must have shape ({x.shape[0]},), got {y.shape}")
+    y = y.astype(np.int64)
+    if y.min() < 0 or y.max() >= arch.class_count:
+        raise ValueError("labels out of range for the architecture's class count")
+
+    rng = np.random.default_rng(config.seed)
+    if init is None and parent is not None:
+        init = parent.payload
+    if init is not None:
+        if init.layout_id != arch.layout_id:
+            raise ValueError(f"init layout {init.layout_id!r} does not match {arch.layout_id!r}")
+        theta = init.values.copy()
+    else:
+        theta = init_params(arch, rng)
+
+    velocity = np.zeros_like(theta)
+    n = x.shape[0]
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            grad = _ref_grad(arch, theta, x[idx], y[idx], config.weight_decay)
+            velocity = config.momentum * velocity + grad
+            theta = theta - config.learning_rate * velocity
+
+    payload = ParamVector(theta, arch.layout_id)
+    meta = {
+        "config": asdict(config),
+        "dataset_id": dataset_id,
+        "final_train_loss": mean_xentropy(arch, theta, x, y),
+        "n_train": int(n),
+    }
+    if parent is not None:
+        meta["parent"] = checkpoint_id(parent)
+    return Checkpoint(arch=arch.to_header(), payload=payload, meta=meta)
 
 
 def blob_data(n=200, seed=0):
@@ -196,3 +315,78 @@ def test_stacked_logits_reject_wrong_stack_shape():
             logits_batch(ARCH, bad, x)
     with pytest.raises(ValueError):
         logits_batch(ARCH, thetas[None], x)
+
+
+# Five jobs whose schedules disagree: batch lengths 8/8 (J0, J1), 8/8/1 (J2,
+# a last batch of one row), 7/7/7/7/2 (J3) and 9 (J4); 2 to 6 epochs, so jobs
+# finish at different steps; momentum 0 to 0.95; weight decay 0 on J2 and J4.
+_JOB_SPECS = (
+    dict(n=16, config=TrainConfig(epochs=3, batch_size=8, learning_rate=0.05,
+                                  momentum=0.9, weight_decay=1e-4, seed=1)),
+    dict(n=16, config=TrainConfig(epochs=2, batch_size=8, learning_rate=0.1,
+                                  momentum=0.0, weight_decay=1e-3, seed=2), parent=True),
+    dict(n=17, config=TrainConfig(epochs=2, batch_size=8, learning_rate=0.02,
+                                  momentum=0.5, weight_decay=0.0, seed=3)),
+    dict(n=30, config=TrainConfig(epochs=2, batch_size=7, learning_rate=0.03,
+                                  momentum=0.95, weight_decay=2e-4, seed=4), init=True),
+    dict(n=9, config=TrainConfig(epochs=6, batch_size=16, learning_rate=0.07,
+                                 momentum=0.8, weight_decay=0.0, seed=5)),
+)
+# Job order per M: M = 2 steps both models as the whole stack, then J0 alone
+# after J1 finishes; M = 3 mixes decayed and undecayed models in one stacked
+# step and then splits them as J2's one-row batch comes up; M = 4 and 5 step
+# non-adjacent models together.
+_LOCKSTEP_ORDERS = {1: (2,), 2: (0, 1), 3: (0, 2, 1), 4: (3, 0, 4, 2), 5: (0, 1, 2, 3, 4)}
+
+
+def _jobs(arch, order):
+    rng = np.random.default_rng(99)
+    parent = Checkpoint(
+        arch=arch.to_header(),
+        payload=ParamVector(init_params(arch, rng), arch.layout_id),
+        meta={"dataset_id": "parent"},
+    )
+    jobs = []
+    for j in order:
+        spec = _JOB_SPECS[j]
+        data = np.random.default_rng(10 + j)
+        x = data.normal(size=(spec["n"], arch.input_dim))
+        y = data.integers(0, arch.class_count, size=spec["n"])
+        init = (
+            ParamVector(init_params(arch, data) + 0.2, arch.layout_id) if spec.get("init") else None
+        )
+        jobs.append(TrainJob(x, y, spec["config"], init=init, dataset_id=f"job{j}",
+                             parent=parent if spec.get("parent") else None))
+    return jobs
+
+
+@pytest.mark.parametrize("m", sorted(_LOCKSTEP_ORDERS))
+@pytest.mark.parametrize("hidden", [(), (12,), (7, 3, 9)])
+@pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+def test_train_many_matches_one_model_loop(activation, hidden, m):
+    arch = MlpArchitecture(input_dim=5, hidden_widths=hidden, class_count=4,
+                           activation=activation)
+    jobs = _jobs(arch, _LOCKSTEP_ORDERS[m])
+    got = train_many(arch, jobs)
+    assert len(got) == m
+    for job, ckpt in zip(jobs, got):
+        want = _ref_train(arch, job.x, job.y, job.config, job.init, job.dataset_id, job.parent)
+        assert np.array_equal(ckpt.payload.values, want.payload.values)
+        assert ckpt.meta == want.meta
+        assert ckpt.arch == want.arch
+    if m == 1:
+        job = jobs[0]
+        one = train(arch, job.x, job.y, job.config, job.init, job.dataset_id, job.parent)
+        assert np.array_equal(one.payload.values, got[0].payload.values)
+        assert one.meta == got[0].meta
+
+
+def test_train_many_leaves_inits_alone_and_rejects_no_jobs():
+    arch = MlpArchitecture(input_dim=5, hidden_widths=(12,), class_count=4)
+    jobs = _jobs(arch, (1, 3))
+    before = [jobs[0].parent.payload.values.copy(), jobs[1].init.values.copy()]
+    train_many(arch, jobs)
+    assert np.array_equal(jobs[0].parent.payload.values, before[0])
+    assert np.array_equal(jobs[1].init.values, before[1])
+    with pytest.raises(ValueError):
+        train_many(arch, [])

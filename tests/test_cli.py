@@ -212,6 +212,46 @@ def test_manifest_missing_role_exits_2(cli_env, tmp_path, capsys):
     assert len(err) == 1 and "manifest.json" in err[0] and "'pretrain_mix'" in err[0], err
 
 
+@pytest.mark.parametrize("value", [None, "x"])
+def test_bad_checkpoint_param_count_exits_2(cli_env, tmp_path, capsys, value):
+    blob = cli_env["zs"].read_bytes()
+    (length,) = struct.unpack_from("<I", blob, 5)
+    header = json.loads(blob[9 : 9 + length])
+    header["param_count"] = value
+    text = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[:5] + struct.pack("<I", len(text)) + text + blob[9 + length :])
+    capsys.readouterr()
+    code = cli.main([
+        "eval", "--suite", str(cli_env["suite"]),
+        "--theta0", str(bad), "--theta1", str(cli_env["ft"]),
+        "--strategy", "zs", "--out", str(tmp_path / "r.json"),
+    ])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and str(bad) in err[0] and "'param_count'" in err[0], err
+
+
+@pytest.mark.parametrize(
+    "section, name, key",
+    [("domains", "id_val", "path"), ("domains", "id_test", "shift_spec"),
+     ("mtl_tasks", 0, "train"), ("mtl_tasks", 1, "test")],
+)
+def test_manifest_entry_missing_key_exits_2(cli_env, tmp_path, capsys, section, name, key):
+    suite = tmp_path / "suite"
+    shutil.copytree(cli_env["suite"], suite)
+    manifest = json.loads((suite / "manifest.json").read_text())
+    del manifest[section][name][key]
+    (suite / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = cli.main(["eval", "--suite", str(suite), "--strategy", "zs",
+                     "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and "manifest.json" in err[0] and repr(key) in err[0], err
+    assert (f"entry {name!r}" if section == "domains" else f"entry {name}") in err[0], err
+
+
 @pytest.fixture(scope="module")
 def task_ckpts(cli_env):
     """Two short CLI-trained task experts on the tiny suite."""

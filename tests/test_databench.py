@@ -1,3 +1,4 @@
+import io
 import json
 import os
 
@@ -86,6 +87,34 @@ def test_manifest_missing_role_is_a_data_error(tiny_suite, tmp_path, role):
         load_suite(tmp_path / "suite")
 
 
+@pytest.mark.parametrize(
+    "where, key",
+    [("domains.id_val", "path"), ("domains.ood_rot45", "shift_spec"),
+     ("mtl_tasks.0", "train"), ("mtl_tasks.1", "test")],
+)
+def test_manifest_entry_missing_key_is_a_data_error(tiny_suite, tmp_path, where, key):
+    save_suite(tiny_suite, tmp_path / "suite")
+    path = tmp_path / "suite" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    section, name = where.split(".")
+    entry = manifest[section][int(name) if section == "mtl_tasks" else name]
+    del entry[key]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DataFormatError, match=f"manifest.json: .*{name}.* '{key}'"):
+        load_suite(tmp_path / "suite")
+
+
+@pytest.mark.parametrize("section, value", [("domains", []), ("domains", 5), ("mtl_tasks", 3)])
+def test_manifest_section_of_wrong_type_is_a_data_error(tiny_suite, tmp_path, section, value):
+    save_suite(tiny_suite, tmp_path / "suite")
+    path = tmp_path / "suite" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest[section] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DataFormatError, match="manifest.json: "):
+        load_suite(tmp_path / "suite")
+
+
 def test_class_priors_are_near_uniform(suite0):
     for dom in suite0.test_domains:
         counts = np.bincount(dom.y, minlength=suite0.spec.class_count)
@@ -165,6 +194,27 @@ def test_csv_uses_17_significant_digits():
     dom = Domain("d", np.array([[1.0 / 3.0]]), np.array([0]), {"kind": "identity"})
     text = domain_to_csv(dom)
     assert "0.33333333333333331" in text
+
+
+def _ref_domain_to_csv(domain: Domain) -> str:
+    """The per-value writer domain_to_csv replaced, kept as its oracle."""
+    buf = io.StringIO()
+    cols = ["label"] + [f"f{i}" for i in range(domain.dim)]
+    buf.write(",".join(cols) + "\n")
+    for label, row in zip(domain.y, domain.x):
+        buf.write(str(int(label)))
+        for v in row:
+            buf.write(",%.17g" % v)
+        buf.write("\n")
+    return buf.getvalue()
+
+
+def test_csv_writer_matches_per_value_writer(tiny_suite):
+    for dom in tiny_suite.domains().values():
+        assert domain_to_csv(dom) == _ref_domain_to_csv(dom)
+    odd = np.array([[0.0, -0.0, 1e-310, -1.7976931348623157e308, 5e-324, 123456789.0, 0.1]])
+    dom = Domain("odd", odd, np.array([12]), {"kind": "identity"})
+    assert domain_to_csv(dom) == _ref_domain_to_csv(dom)
 
 
 def test_spec_validation():

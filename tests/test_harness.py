@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import json
+import os
 
 import numpy as np
 import pytest
@@ -27,7 +30,32 @@ from dawin.merge import (
     model_eval,
 )
 
+from conftest import DATA_DIR
+
 PILOT_NAMES = {"zs", "ft", "static_best", "oracle_domain", "oracle_sample"}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_seed0_checkpoints_match_golden_ledger(experts0):
+    with open(os.path.join(DATA_DIR, "golden_seed0.json")) as fh:
+        golden = json.load(fh)["checkpoints"]
+    roles = {"pretrain": experts0.pretrain, "finetune": experts0.finetune}
+    roles.update((f"task{j}", c) for j, c in enumerate(experts0.task_experts))
+    got = {
+        role: {
+            "payload_sha256": _sha256(
+                np.ascontiguousarray(c.payload.values, dtype="<f8").tobytes()
+            ),
+            "meta_sha256": _sha256(
+                json.dumps(c.meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+            ),
+        }
+        for role, c in roles.items()
+    }
+    assert got == golden
 
 
 def test_pilot_covers_every_strategy_and_domain(suite0, pilot0):
