@@ -432,7 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("suite", help=f"run the property suite; exit {SUITE_FAILED_EXIT} on any failure")
+    p = sub.add_parser(
+        "suite", help=f"run the property suite; exit {SUITE_FAILED_EXIT} on any failure",
+        description=f"Property checks, run in this order: {', '.join(harness.CHECKS)}. "
+        "entropy_valley prints a pooled_static, a pooled_dawin and one [<domain>] verdict "
+        "per test domain.",
+    )
     eval_like(p, with_tasks=True)
     p.add_argument("--out", help="optional property-check report JSON path")
     p.set_defaults(func=cmd_suite)

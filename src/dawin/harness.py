@@ -11,9 +11,14 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import tempfile
+import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
+from scipy.special import expit
 
 from .classifier import MlpArchitecture, TrainConfig, TrainJob, forward_batch, train, train_many
 from .databench import BenchmarkSuite
@@ -46,8 +51,16 @@ from .merge import (
     static_eval,
     wise_sweep,
 )
-from .mixture import em_fit
-from .params import Checkpoint, ParamVector, combine_task_vectors, make_task_vector
+from .mixture import em_fit, mixture_from_dict, mixture_to_dict
+from .params import (
+    Checkpoint,
+    ParamVector,
+    checkpoint_id,
+    combine_task_vectors,
+    load_checkpoint,
+    make_task_vector,
+    save_checkpoint,
+)
 from .util import atomic_write
 
 SCHEMA_VERSION = 1
@@ -481,178 +494,254 @@ def _correct_expert_sets(prob_sets, y):
     return [tuple(np.flatnonzero(row)) for row in hits]
 
 
-def run_property_suite(
-    suite: BenchmarkSuite,
-    experts: ExpertSet | None = None,
-    options: MergeOptions = MergeOptions(),
-    rng_seed: int = 0,
-) -> list[PropertyCheck]:
-    """Every cross-module invariant as a named check; failures are data."""
-    experts = experts or build_experts(suite)
-    arch, t0, t1 = experts.arch, experts.theta0, experts.theta1
-    rng = np.random.default_rng(rng_seed)
-    checks: list[PropertyCheck] = []
+# The clustered check's fixed component count: every streamed chunk needs at
+# least this many rows for its K-component fit.
+CLUSTERED_K = 3
 
-    # Coefficient algebra on random entropies: simplex membership, pair symmetry,
-    # shift invariance, and the sigmoid identity.
+
+@dataclass
+class CheckContext:
+    """One property-suite run's inputs and the work its checks share. Each
+    shared piece is computed on first use, so any check can run alone."""
+
+    suite: BenchmarkSuite
+    experts: ExpertSet
+    options: MergeOptions = MergeOptions()
+
+    @cached_property
+    def outputs(self) -> dict[str, tuple]:
+        """Per test domain: (domain, ZS probs, FT probs, ZS entropies, FT entropies)."""
+        arch, t0, t1 = self.experts.arch, self.experts.theta0, self.experts.theta1
+        out = {}
+        for dom in self.suite.test_domains:
+            p0, p1 = forward_batch(arch, t0, dom.x), forward_batch(arch, t1, dom.x)
+            out[dom.name] = (dom, p0, p1, entropy(p0), entropy(p1))
+        return out
+
+    @cached_property
+    def task_outputs(self) -> list[tuple]:
+        """Per task test split, with task experts only: (split, each expert's
+        probs, their (n, M) entropies)."""
+        params = self.experts.task_params()
+        out = []
+        for split in self.suite.mtl_tasks if params else ():
+            probs = [forward_batch(self.experts.arch, p, split.test.x) for p in params]
+            out.append((split, probs, np.stack([entropy(p) for p in probs], axis=1)))
+        return out
+
+    @cached_property
+    def dawin(self) -> dict[str, StrategyResult]:
+        """dawin_sample per test domain at the run's options."""
+        e = self.experts
+        return {dom.name: dawin_sample_eval(e.arch, e.theta0, e.theta1, dom, self.options)
+                for dom in self.suite.test_domains}
+
+    @cached_property
+    def pilot(self) -> EvalReport:
+        return run_pilot(self.suite, self.experts)
+
+
+def _coefficient_algebra(ctx: CheckContext) -> list[PropertyCheck]:
+    """Eq. 1 on random entropies, to 1e-12 within 1 s: the pair rule's simplex
+    membership, swap symmetry, shift invariance and sigmoid identity, and
+    coeff_multi's row sums, signs, shift invariance and pair agreement."""
+    rng = np.random.default_rng(0)
     n = 100_000
-    h = rng.uniform(0.0, np.log(suite.spec.class_count), size=(n, 2))
-    lam = coeff_pair(h[:, 0], h[:, 1])
-    lam_swap = coeff_pair(h[:, 1], h[:, 0])
-    shift = rng.uniform(0.0, 2.0, size=n)  # entropies stay non-negative
-    lam_shift = coeff_pair(h[:, 0] + shift, h[:, 1] + shift)
-    sigmoid = 1.0 / (1.0 + np.exp(-(h[:, 0] - h[:, 1])))
-    err = np.maximum.reduce(
-        [
-            np.abs(lam + lam_swap - 1.0),
-            np.abs(lam_shift - lam),
-            np.abs(lam - sigmoid),
+    start = time.perf_counter()
+    h = rng.uniform(0.0, 20.0, size=(n, 2))
+    shift = rng.uniform(0.0, 5.0, size=n)
+    lam = np.asarray(coeff_pair(h[:, 0], h[:, 1]))
+    hm = rng.uniform(0.0, 20.0, size=(n, 4))
+    rows = coeff_multi(hm)
+    rows_shift = coeff_multi(hm + rng.uniform(0.0, 5.0, size=n)[:, None])
+    dev = np.concatenate([
+        np.maximum.reduce([
+            np.abs(lam + np.asarray(coeff_pair(h[:, 1], h[:, 0])) - 1.0),
+            np.abs(np.asarray(coeff_pair(h[:, 0] + shift, h[:, 1] + shift)) - lam),
+            np.abs(lam - expit(h[:, 0] - h[:, 1])),
             np.maximum(-lam, lam - 1.0),
-        ]
-    )
-    checks.append(
-        _check("coefficient_algebra", n, int((err > 1e-12).sum()), 1e-12, (err <= 1e-12).all(),
-               measured=float(err.max()))
-    )
+        ]),
+        np.maximum.reduce([
+            np.abs(rows.sum(axis=1) - 1.0),
+            -rows.min(axis=1),
+            np.abs(rows_shift - rows).max(axis=1),
+            np.abs(coeff_multi(h)[:, 1] - lam),
+        ]),
+    ])
+    elapsed = time.perf_counter() - start
+    bad = int(np.count_nonzero(~(dev <= 1e-12)))
+    return [_check("coefficient_algebra", dev.size, bad, 1e-12, bad == 0 and elapsed < 1.0,
+                   measured=dev.max())]
 
-    # Expert dominance: synthetic entropy configurations with planted expert sets.
-    per_m = 25_000
-    total_checked = total_violations = 0
-    for m in (2, 3, 4, 5):
-        hs = np.sort(rng.uniform(0.0, 3.0, size=(per_m, m)), axis=1)
-        sizes = rng.integers(1, m, size=per_m)
-        perms = np.argsort(rng.random((per_m, m)), axis=1)
-        shuffled = np.take_along_axis(hs, perms, axis=1)
-        expert_sets = []
-        for i in range(per_m):
-            order = np.argsort(shuffled[i], kind="stable")
-            expert_sets.append(tuple(order[: sizes[i]]))
-        checked, violations = _lemma1_violations(shuffled, expert_sets)
-        total_checked += checked
-        total_violations += violations
-    checks.append(
-        _check("expert_dominance_synthetic", total_checked, total_violations,
-               1e-12, total_violations == 0)
-    )
 
-    # Expert dominance on benchmark samples: J = the models that answer correctly.
+# Criterion 2's 5 s budget, split between its synthetic and benchmark halves.
+DOMINANCE_SECONDS = 2.5
+
+
+def _expert_dominance_synthetic(ctx: CheckContext) -> list[PropertyCheck]:
+    """Lemma 1 on 25,000 rows for each M = 2..5, J planted as each row's |J|
+    lowest entropies: all 100,000 rows meet the precondition, none violates."""
+    rng = np.random.default_rng(1)
+    start = time.perf_counter()
     checked = violations = 0
-    for dom in suite.test_domains:
-        probs = [forward_batch(arch, t0, dom.x), forward_batch(arch, t1, dom.x)]
-        ents = np.stack([entropy(p) for p in probs], axis=1)
-        c, v = _lemma1_violations(ents, _correct_expert_sets(probs, dom.y))
+    for m in (2, 3, 4, 5):
+        ents = rng.uniform(0.0, 4.0, size=(25_000, m))
+        sizes = rng.integers(1, m, size=25_000)
+        order = np.argsort(ents, axis=1)
+        c, v = _lemma1_violations(ents, [tuple(order[i, :s]) for i, s in enumerate(sizes)])
         checked += c
         violations += v
-    if experts.task_experts:
-        params = experts.task_params()
-        for split in suite.mtl_tasks:
-            probs = [forward_batch(arch, p, split.test.x) for p in params]
-            ents = np.stack([entropy(p) for p in probs], axis=1)
-            c, v = _lemma1_violations(ents, _correct_expert_sets(probs, split.test.y))
-            checked += c
-            violations += v
-    checks.append(
-        _check("lemma_expert_dominance_benchmark", checked, violations, 1e-12,
-               violations == 0)
-    )
+    ok = violations == 0 and checked == 100_000
+    return [_check("expert_dominance_synthetic", checked, violations, 1e-12,
+                   ok and time.perf_counter() - start < DOMINANCE_SECONDS)]
 
-    # EM log-likelihood monotonicity over random datasets.
-    decreasing = 0
-    datasets = 50
-    for i in range(datasets):
-        k_true = int(rng.integers(1, 4))
+
+def _lemma_expert_dominance_benchmark(ctx: CheckContext) -> list[PropertyCheck]:
+    """Lemma 1 on benchmark samples, J = the models that answer correctly: the
+    ZS/FT pair on every test domain, and the task experts on every task test
+    split when the run has them."""
+    start = time.perf_counter()
+    groups = [([p0, p1], np.stack([h0, h1], axis=1), dom.y)
+              for dom, p0, p1, h0, h1 in ctx.outputs.values()]
+    groups += [(probs, ents, split.test.y) for split, probs, ents in ctx.task_outputs]
+    counts = [_lemma1_violations(ents, _correct_expert_sets(probs, y)) for probs, ents, y in groups]
+    checked, violations = (sum(col) for col in zip(*counts))
+    return [_check("lemma_expert_dominance_benchmark", checked, violations, 1e-12,
+                   violations == 0 and time.perf_counter() - start < DOMINANCE_SECONDS)]
+
+
+def _em_monotone_loglik(ctx: CheckContext) -> list[PropertyCheck]:
+    """No EM step lowers the log-likelihood by more than 1e-9, over 50 random
+    Beta mixtures of 120-400 draws per component, fit with K = 1..4."""
+    rng = np.random.default_rng(2)
+    worst, bad = 0.0, 0
+    for _ in range(50):
         parts = []
-        for _ in range(k_true):
+        for _ in range(int(rng.integers(1, 4))):
             a, b = rng.uniform(0.8, 12.0, size=2)
-            parts.append(rng.beta(a, b, size=rng.integers(120, 400)))
+            parts.append(rng.beta(a, b, size=int(rng.integers(120, 400))))
         values = np.clip(np.concatenate(parts), 1e-4, 1.0 - 1e-4)
         model = em_fit(values, k=int(rng.integers(1, 5)), seed=int(rng.integers(2**31)))
-        trace = np.asarray(model.loglik_trace)
-        decreasing += int((np.diff(trace) < -1e-9).sum())
-    checks.append(_check("em_monotone_loglik", datasets, decreasing, 1e-9, decreasing == 0))
+        step = float(np.diff(model.loglik_trace).min(initial=0.0))
+        worst = min(worst, step)
+        bad += step < -1e-9
+    return [_check("em_monotone_loglik", 50, bad, 1e-9, bad == 0, measured=worst)]
 
-    # Domain cache for the benchmark-level checks below.
-    cache = {}
-    for dom in suite.test_domains:
-        p0 = forward_batch(arch, t0, dom.x)
-        p1 = forward_batch(arch, t1, dom.x)
-        cache[dom.name] = (dom, p0, p1, entropy(p0), entropy(p1))
 
-    # Entropy valley, pooled population: some grid coefficient must not be
-    # blunter than the sharper endpoint, and dawin_sample must match it.
-    h_ends = []
-    static_curve = {g: [] for g in DEFAULT_GRID}
-    h_dawin = []
-    for dom, p0, p1, h0, h1 in cache.values():
-        h_ends.append((h0, h1))
-        for g in DEFAULT_GRID:
-            static_curve[g].append(entropy(static_eval(arch, t0, t1, g, dom).probs))
-        h_dawin.append(entropy(dawin_sample_eval(arch, t0, t1, dom, options).probs))
-    pooled_zs = float(np.concatenate([h for h, _ in h_ends]).mean())
-    pooled_ft = float(np.concatenate([h for _, h in h_ends]).mean())
-    pooled_curve = {g: float(np.concatenate(v).mean()) for g, v in static_curve.items()}
-    pooled_dw = float(np.concatenate(h_dawin).mean())
-    best_g = min(pooled_curve, key=pooled_curve.get)
-    ok_i = pooled_curve[best_g] <= min(pooled_zs, pooled_ft)
-    ok_ii = pooled_dw <= pooled_curve[best_g]
-    checks.append(
-        _check("entropy_valley_pooled_static", len(DEFAULT_GRID), int(not ok_i), 0.0, ok_i,
-               measured=pooled_curve[best_g] - min(pooled_zs, pooled_ft))
-    )
-    checks.append(
-        _check("entropy_valley_pooled_dawin", 1, int(not ok_ii), 0.0, ok_ii,
-               measured=pooled_dw - pooled_curve[best_g])
-    )
+def _em_recovery(ctx: CheckContext) -> list[PropertyCheck]:
+    """K = 2 EM on 20,000 draws of a 0.4/0.6 mix of Beta(2, 20) and Beta(20, 2)
+    recovers the weights to 0.05 and the means to 0.02. Measured is the larger
+    deviation as a share of its bound."""
+    rng = np.random.default_rng(3)
+    low, high = rng.beta(2.0, 20.0, size=20_000), rng.beta(20.0, 2.0, size=20_000)
+    values = np.where(rng.random(20_000) < 0.4, low, high)
+    lo, hi = sorted(em_fit(values, k=2, seed=0).components, key=lambda c: c.mean)
+    weight_dev = max(abs(lo.pi - 0.4), abs(hi.pi - 0.6))
+    mean_dev = max(abs(lo.mean - 2.0 / 22.0), abs(hi.mean - 20.0 / 22.0))
+    bad = int(not weight_dev <= 0.05) + int(not mean_dev <= 0.02)
+    return [_check("em_recovery", 2, bad, 1.0, bad == 0,
+                   measured=max(weight_dev / 0.05, mean_dev / 0.02))]
 
-    # Pilot ordering on the OOD average.
-    pilot = run_pilot(suite, experts)
-    ood = pilot.ood_average
-    chain_ok = (
-        ood["oracle_sample"] >= ood["oracle_domain"] >= ood["static_best"]
-        >= max(ood["zs"], ood["ft"])
-    )
-    checks.append(
-        _check("pilot_ordering_chain", 4, int(not chain_ok), 0.0, chain_ok,
-               measured=ood["oracle_sample"] - ood["static_best"])
-    )
 
-    # Clustered compression stays within a point of exact per-sample merging.
-    worst_gap = 0.0
-    bad = 0
-    k = 3
-    for dom, p0, p1, h0, h1 in cache.values():
-        exact = accuracy(dawin_sample_eval(arch, t0, t1, dom, options), dom.y)
-        clustered = dawin_clustered_eval(arch, t0, t1, dom, k=k, options=options)
-        gap = abs(accuracy(clustered, dom.y) - exact)
-        worst_gap = max(worst_gap, gap)
-        if gap > 0.01 or clustered.merge_count != k:
-            bad += 1
-    checks.append(
-        _check("clustered_gap_and_count", len(cache), bad, 0.01, bad == 0,
-               measured=worst_gap)
+def _em_runtime_50k(ctx: CheckContext) -> list[PropertyCheck]:
+    """K = 3 EM on 50,000 draws from three Betas ends within 60 s with three
+    components."""
+    rng = np.random.default_rng(4)
+    values = np.concatenate(
+        [rng.beta(2.0, 14.0, size=25_000), rng.beta(6.0, 6.0, size=12_500),
+         rng.beta(16.0, 3.0, size=12_500)]
     )
+    start = time.perf_counter()
+    model = em_fit(values, k=3, seed=0)
+    ok = time.perf_counter() - start <= 60.0 and len(model.components) == 3
+    return [_check("em_runtime_50k", 1, int(not ok), 60.0, ok)]
 
-    # Batch-size sweep of the OOD average (the offset statistics are the only
-    # batch-dependent piece).
-    ood_names = {d.name for d in suite.ood_tests}
-    sweep_vals = []
+
+def _entropy_valley(ctx: CheckContext) -> list[PropertyCheck]:
+    """Mean entropies along the static grid. Pooled over every test sample,
+    some blend is not blunter than the sharper endpoint, and dawin_sample not
+    blunter than that blend. Per test domain, some blend sits below both
+    endpoints and above dawin_sample; measured is the best shortfall, the
+    least over the grid of each blend's larger miss."""
+    e = ctx.experts
+    pooled = {key: [] for key in ("zs", "ft", "dawin", *DEFAULT_GRID)}
+    per_domain = []
+    for name, (dom, _, _, h0, h1) in ctx.outputs.items():
+        h = {"zs": h0, "ft": h1, "dawin": entropy(ctx.dawin[name].probs)}
+        h.update((g, entropy(static_eval(e.arch, e.theta0, e.theta1, g, dom).probs))
+                 for g in DEFAULT_GRID)
+        for key, arr in h.items():
+            pooled[key].append(arr)
+        mean = {key: float(arr.mean()) for key, arr in h.items()}
+        floor = min(mean["zs"], mean["ft"])
+        shortfall = min(max(mean[g] - floor, mean["dawin"] - mean[g]) for g in DEFAULT_GRID)
+        per_domain.append(_check(f"entropy_valley[{name}]", len(DEFAULT_GRID), int(shortfall > 0),
+                                 0.0, shortfall <= 0.0, measured=shortfall))
+    mean = {key: float(np.concatenate(arrs).mean()) for key, arrs in pooled.items()}
+    best_static = min(mean[g] for g in DEFAULT_GRID)
+    ok_static = best_static <= min(mean["zs"], mean["ft"])
+    ok_dawin = mean["dawin"] <= best_static
+    return [
+        _check("entropy_valley_pooled_static", len(DEFAULT_GRID), int(not ok_static), 0.0,
+               ok_static, measured=best_static - min(mean["zs"], mean["ft"])),
+        _check("entropy_valley_pooled_dawin", 1, int(not ok_dawin), 0.0, ok_dawin,
+               measured=mean["dawin"] - best_static),
+        *per_domain,
+    ]
+
+
+def _pilot_ordering_chain(ctx: CheckContext) -> list[PropertyCheck]:
+    """Pilot OOD averages: oracle_sample >= oracle_domain >= static_best >=
+    max(zs, ft), and oracle_sample beats static_best by at least 0.01."""
+    ood = ctx.pilot.ood_average
+    slacks = (
+        ood["oracle_sample"] - ood["oracle_domain"],
+        ood["oracle_domain"] - ood["static_best"],
+        ood["static_best"] - max(ood["zs"], ood["ft"]),
+    )
+    margin = ood["oracle_sample"] - ood["static_best"]
+    bad = sum(not s >= 0.0 for s in slacks) + int(not margin >= 0.01)
+    return [_check("pilot_ordering_chain", 4, bad, 0.01, bad == 0, measured=margin)]
+
+
+def _clustered_gap_and_count(ctx: CheckContext) -> list[PropertyCheck]:
+    """K = 3 clustered merging stays within 0.01 accuracy of dawin_sample on
+    every test domain, with exactly K merges."""
+    e = ctx.experts
+    worst, bad = 0.0, 0
+    for name, (dom, *_) in ctx.outputs.items():
+        clustered = dawin_clustered_eval(e.arch, e.theta0, e.theta1, dom, k=CLUSTERED_K,
+                                         options=ctx.options)
+        gap = abs(accuracy(clustered, dom.y) - accuracy(ctx.dawin[name], dom.y))
+        worst = max(worst, gap)
+        bad += gap > 0.01 or clustered.merge_count != CLUSTERED_K
+    return [_check("clustered_gap_and_count", len(ctx.outputs), bad, 0.01, bad == 0,
+                   measured=worst)]
+
+
+def _batch_size_sweep(ctx: CheckContext) -> list[PropertyCheck]:
+    """dawin_sample's OOD-average accuracy spreads by at most 0.01 over batch
+    sizes 32..2048 and the whole domain (only the offset statistics depend on
+    the batch)."""
+    e = ctx.experts
+    averages = []
     for bs in (32, 64, 128, 256, 512, 1024, 2048, None):
-        opts = replace(options, batch_size=bs)
-        accs = [
-            accuracy(dawin_sample_eval(arch, t0, t1, dom, opts), dom.y)
-            for dom, *_ in cache.values()
-            if dom.name in ood_names
-        ]
-        sweep_vals.append(float(np.mean(accs)))
-    spread = max(sweep_vals) - min(sweep_vals)
-    checks.append(
-        _check("batch_size_sweep", len(sweep_vals), int(spread > 0.01), 0.01,
-               spread <= 0.01, measured=spread)
-    )
+        opts = replace(ctx.options, batch_size=bs)
+        averages.append(float(np.mean([
+            accuracy(ctx.dawin[dom.name] if opts == ctx.options
+                     else dawin_sample_eval(e.arch, e.theta0, e.theta1, dom, opts), dom.y)
+            for dom in ctx.suite.ood_tests
+        ])))
+    spread = max(averages) - min(averages)
+    return [_check("batch_size_sweep", len(averages), int(spread > 0.01), 0.01, spread <= 0.01,
+                   measured=spread)]
 
-    # Correlation sign on the TrueTrue split, pooled over all test samples.
+
+def _truetrue_correlation_positive(ctx: CheckContext) -> list[PropertyCheck]:
+    """Pooled over every test sample, the TrueTrue split's entropy-ratio vs
+    loss-ratio correlation is positive."""
     parts = {key: [] for key in ("h0", "h1", "l0", "l1", "p0", "p1", "y")}
-    for dom, p0, p1, h0, h1 in cache.values():
+    for dom, p0, p1, h0, h1 in ctx.outputs.values():
         parts["h0"].append(h0)
         parts["h1"].append(h1)
         parts["l0"].append(np.minimum(xentropy(p0, dom.y), XENT_CLIP))
@@ -665,109 +754,148 @@ def run_property_suite(
         cat["h0"], cat["h1"], cat["l0"], cat["l1"], cat["p0"], cat["p1"], cat["y"]
     )
     tt = corr.get(Split.TRUE_TRUE.value)
-    ok_tt = tt is not None and tt > 0.0
-    checks.append(_check("truetrue_correlation_positive", 1, int(not ok_tt), 0.0,
-                         ok_tt, measured=tt))
+    ok = tt is not None and tt > 0.0
+    return [_check("truetrue_correlation_positive", 1, int(not ok), 0.0, ok, measured=tt)]
 
-    # Offset adjustment must actually move the coefficients.
-    dom, p0, p1, h0, h1 = cache[suite.id_test.name]
-    lam_plain = np.asarray(coeff_pair(h0, h1))
-    lam_offset, _ = coeff_pair_offset(h0, h1)
-    delta = float(np.abs(lam_plain - lam_offset).max())
-    checks.append(
-        _check("offset_changes_coefficients", dom.n_samples, int(delta == 0.0), 0.0,
-               delta > 0.0, measured=delta)
-    )
 
-    # Class priors stay uniform in every generated domain.
-    bad_domains = 0
-    domains = suite.domains()
-    for name, dom in domains.items():
-        counts = np.bincount(dom.y, minlength=suite.spec.class_count)
-        if np.abs(counts / dom.n_samples - 1.0 / suite.spec.class_count).max() > 0.02:
-            bad_domains += 1
-    checks.append(
-        _check("class_priors_uniform", len(domains), bad_domains, 0.02, bad_domains == 0)
-    )
+def _offset_changes_coefficients(ctx: CheckContext) -> list[PropertyCheck]:
+    """Toggling the offset adjustment moves some coefficient dawin_sample
+    chooses on id_test by more than 1e-6."""
+    e, dom = ctx.experts, ctx.suite.id_test
+    toggled = replace(ctx.options, offset_adjust=not ctx.options.offset_adjust)
+    other = dawin_sample_eval(e.arch, e.theta0, e.theta1, dom, toggled)
+    delta = float(np.abs(ctx.dawin[dom.name].chosen - other.chosen).max())
+    return [_check("offset_changes_coefficients", dom.n_samples, int(not delta > 1e-6), 1e-6,
+                   delta > 1e-6, measured=delta)]
 
-    # Specialist/generalist accuracy gaps flip sign between ID and some OOD
-    # domain; this asymmetry is what makes interpolation interesting.
-    id_gap = accuracy(model_eval(arch, t1, suite.id_test, "ft"), suite.id_test.y) - accuracy(
-        model_eval(arch, t0, suite.id_test, "zs"), suite.id_test.y
-    )
-    flips = []
-    for dom in suite.ood_tests:
-        zs_acc = accuracy(model_eval(arch, t0, dom, "zs"), dom.y)
-        ft_acc = accuracy(model_eval(arch, t1, dom, "ft"), dom.y)
-        flips.append(zs_acc - ft_acc)
-    ok_asym = id_gap > 0.0 and any(f > 0.0 for f in flips)
-    checks.append(
-        _check("specialist_generalist_asymmetry", 1 + len(flips), int(not ok_asym),
-               0.0, ok_asym, measured=id_gap)
-    )
 
-    # MTL block: diagonal dominance of the mean coefficient matrix, and the
-    # dynamic rule not losing to static task arithmetic at the same scale.
-    if experts.task_experts:
-        params = experts.task_params()
-        taus = experts.task_vectors()
-        m = len(params)
-        matrix = np.empty((len(suite.mtl_tasks), m))
-        for i, split in enumerate(suite.mtl_tasks):
-            ents = np.stack(
-                [entropy(forward_batch(arch, p, split.test.x)) for p in params], axis=1
-            )
-            matrix[i] = coeff_multi(ents).mean(axis=0)
-        off_diag = sum(int(matrix[i].argmax() != i) for i in range(len(suite.mtl_tasks)))
-        checks.append(
-            _check("mtl_diagonal_dominance", len(suite.mtl_tasks), off_diag, 0.0,
-                   off_diag == 0)
+def _class_priors_uniform(ctx: CheckContext) -> list[PropertyCheck]:
+    """Every generated domain's class priors are within 0.02 of uniform."""
+    c = ctx.suite.spec.class_count
+    devs = [float(np.abs(np.bincount(d.y, minlength=c) / d.n_samples - 1.0 / c).max())
+            for d in ctx.suite.domains().values()]
+    bad = sum(not dev < 0.02 for dev in devs)
+    return [_check("class_priors_uniform", len(devs), bad, 0.02, bad == 0, measured=max(devs))]
+
+
+def _specialist_generalist_asymmetry(ctx: CheckContext) -> list[PropertyCheck]:
+    """FT beats ZS on id_test and ZS beats FT on some OOD domain: the gap
+    changes sign, which is what makes interpolation interesting."""
+
+    def zs_minus_ft(name):
+        dom, p0, p1, _, _ = ctx.outputs[name]
+        return float((p0.argmax(axis=1) == dom.y).mean() - (p1.argmax(axis=1) == dom.y).mean())
+
+    id_gap = -zs_minus_ft(ctx.suite.id_test.name)
+    flips = [zs_minus_ft(dom.name) for dom in ctx.suite.ood_tests]
+    ok = id_gap > 0.0 and any(f > 0.0 for f in flips)
+    return [_check("specialist_generalist_asymmetry", 1 + len(flips), int(not ok), 0.0, ok,
+                   measured=id_gap)]
+
+
+def _mtl_diagonal_dominance(ctx: CheckContext) -> list[PropertyCheck]:
+    """With task experts: on each task's test split, its own expert gets the
+    largest mean coefficient."""
+    tasks = ctx.task_outputs
+    if not tasks:
+        return []
+    off_diag = sum(int(coeff_multi(ents).mean(axis=0).argmax() != i)
+                   for i, (_, _, ents) in enumerate(tasks))
+    return [_check("mtl_diagonal_dominance", len(tasks), off_diag, 0.0, off_diag == 0)]
+
+
+def _mtl_dynamic_vs_static(ctx: CheckContext) -> list[PropertyCheck]:
+    """With task experts: dynamic task arithmetic (K = 1) does not lose to
+    static task arithmetic at the same scale 0.3, averaged over the task
+    test splits."""
+    e = ctx.experts
+    if not e.task_experts:
+        return []
+    params, taus = e.task_params(), e.task_vectors()
+    tests = [split.test for split in ctx.suite.mtl_tasks]
+    static_theta = combine_task_vectors(e.theta0, 0.3, np.ones(len(params)), taus)
+    acc_static = np.mean([accuracy(model_eval(e.arch, static_theta, d, "task_arith"), d.y)
+                          for d in tests])
+    acc_dyn = np.mean([accuracy(dawin_task_arith_eval(e.arch, e.theta0, params, taus, d,
+                                                      lambda0=0.3, k=1, options=ctx.options), d.y)
+                       for d in tests])
+    ok = acc_dyn >= acc_static
+    return [_check("mtl_dynamic_vs_static", len(tests), int(not ok), 0.0, ok,
+                   measured=acc_dyn - acc_static)]
+
+
+def _determinism(ctx: CheckContext) -> list[PropertyCheck]:
+    """Four bit-identical repeats: the specialist retrained from the
+    generalist with its checkpoint's own config, dawin_sample on id_test run
+    again, the specialist through a checkpoint file, and a K = 2 mixture
+    through JSON."""
+    e, ft, dom = ctx.experts, ctx.experts.finetune, ctx.suite.id_train
+    try:
+        config = TrainConfig(**ft.meta["config"])
+    except (KeyError, TypeError) as exc:
+        raise DataFormatError(f"specialist checkpoint meta has no usable 'config' ({exc})") from exc
+    retrained = train(e.arch, dom.x, dom.y, config, init=e.theta0, dataset_id=dom.name,
+                      parent=e.pretrain)
+    rerun = dawin_sample_eval(e.arch, e.theta0, e.theta1, ctx.suite.id_test, ctx.options)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(ft, os.path.join(tmp, "ft.ckpt"))
+        loaded = load_checkpoint(os.path.join(tmp, "ft.ckpt"))
+    model = em_fit(np.random.default_rng(8).beta(3.0, 5.0, size=2000), k=2, seed=0)
+    again = mixture_from_dict(json.loads(json.dumps(mixture_to_dict(model))))
+    same = [
+        np.array_equal(retrained.payload.values, e.theta1.values),
+        np.array_equal(rerun.probs, ctx.dawin[ctx.suite.id_test.name].probs),
+        np.array_equal(loaded.payload.values, e.theta1.values)
+        and checkpoint_id(loaded) == checkpoint_id(ft) and loaded.meta == ft.meta,
+        mixture_to_dict(again) == mixture_to_dict(model)
+        and all((a.a, a.b, a.pi) == (b.a, b.b, b.pi)
+                for a, b in zip(model.components, again.components)),
+    ]
+    bad = same.count(False)
+    return [_check("determinism", 4, bad, 0.0, bad == 0)]
+
+
+# Every property check, in the order `dawin suite` runs and prints them. Each
+# takes a CheckContext and returns its PropertyChecks, named as its key, except
+# that entropy_valley returns entropy_valley_pooled_static,
+# entropy_valley_pooled_dawin and entropy_valley[<domain>] per test domain, and
+# the mtl_ checks return none without task experts.
+CHECKS: dict[str, Callable[[CheckContext], list[PropertyCheck]]] = {
+    "coefficient_algebra": _coefficient_algebra,
+    "expert_dominance_synthetic": _expert_dominance_synthetic,
+    "lemma_expert_dominance_benchmark": _lemma_expert_dominance_benchmark,
+    "em_monotone_loglik": _em_monotone_loglik,
+    "em_recovery": _em_recovery,
+    "em_runtime_50k": _em_runtime_50k,
+    "entropy_valley": _entropy_valley,
+    "pilot_ordering_chain": _pilot_ordering_chain,
+    "clustered_gap_and_count": _clustered_gap_and_count,
+    "batch_size_sweep": _batch_size_sweep,
+    "truetrue_correlation_positive": _truetrue_correlation_positive,
+    "offset_changes_coefficients": _offset_changes_coefficients,
+    "class_priors_uniform": _class_priors_uniform,
+    "specialist_generalist_asymmetry": _specialist_generalist_asymmetry,
+    "mtl_diagonal_dominance": _mtl_diagonal_dominance,
+    "mtl_dynamic_vs_static": _mtl_dynamic_vs_static,
+    "determinism": _determinism,
+}
+
+
+def run_property_suite(
+    suite: BenchmarkSuite,
+    experts: ExpertSet | None = None,
+    options: MergeOptions = MergeOptions(),
+) -> list[PropertyCheck]:
+    """Every check in CHECKS, in order, on one shared context; failures are
+    data. A batch size too small for the clustered check is a usage error,
+    raised before any check runs."""
+    if options.batch_size is not None and options.batch_size < CLUSTERED_K:
+        raise ValueError(
+            f"batch_size {options.batch_size} is below {CLUSTERED_K}, the component count of "
+            "the clustered_gap_and_count check"
         )
-        static_theta = combine_task_vectors(t0, 0.3, np.ones(m), taus)
-        acc_static = float(
-            np.mean(
-                [
-                    accuracy(model_eval(arch, static_theta, s.test, "task_arith"), s.test.y)
-                    for s in suite.mtl_tasks
-                ]
-            )
-        )
-        acc_dyn = float(
-            np.mean(
-                [
-                    accuracy(
-                        dawin_task_arith_eval(
-                            arch, t0, params, taus, s.test, lambda0=0.3, k=1,
-                            options=options,
-                        ),
-                        s.test.y,
-                    )
-                    for s in suite.mtl_tasks
-                ]
-            )
-        )
-        ok_mtl = acc_dyn >= acc_static
-        checks.append(
-            _check("mtl_dynamic_vs_static", len(suite.mtl_tasks), int(not ok_mtl), 0.0,
-                   ok_mtl, measured=acc_dyn - acc_static)
-        )
-
-    # Determinism: retraining the specialist and re-running dawin_sample must
-    # reproduce bit-identical outputs.
-    ft_again = train(
-        arch, suite.id_train.x, suite.id_train.y, FINETUNE_CONFIG,
-        init=experts.pretrain.payload, dataset_id=suite.id_train.name,
-        parent=experts.pretrain,
-    )
-    same_train = bool(np.array_equal(ft_again.payload.values, t1.values))
-    r1 = dawin_sample_eval(arch, t0, t1, suite.id_test, options)
-    r2 = dawin_sample_eval(arch, t0, t1, suite.id_test, options)
-    same_eval = bool(np.array_equal(r1.probs, r2.probs))
-    checks.append(
-        _check("determinism", 2, int(not same_train) + int(not same_eval), 0.0,
-               same_train and same_eval)
-    )
-    return checks
+    ctx = CheckContext(suite, experts or build_experts(suite), options)
+    return [check for run in CHECKS.values() for check in run(ctx)]
 
 
 def failed_checks(checks) -> int:

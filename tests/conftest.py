@@ -56,6 +56,12 @@ def pilot0(suite0, experts0):
 
 
 @pytest.fixture(scope="session")
+def checks0(suite0, experts0):
+    """The seed-0 property suite, with task experts, by check name."""
+    return {c.name: c for c in harness.run_property_suite(suite0, experts0)}
+
+
+@pytest.fixture(scope="session")
 def tiny_suite():
     return databench.generate(7, TINY_SPEC)
 

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import re
 import shutil
@@ -306,13 +308,21 @@ def test_analyze_writes_report(cli_env, tmp_path):
     assert report.splits
 
 
-def test_suite_exit_status_matches_printed_tally(cli_env, tmp_path, capsys):
-    code = cli.main([
-        "suite", "--suite", str(cli_env["suite"]),
-        "--theta0", str(cli_env["zs"]), "--theta1", str(cli_env["ft"]),
-        "--out", str(tmp_path / "checks.json"),
-    ])
-    lines = capsys.readouterr().out.splitlines()
+@pytest.fixture(scope="module")
+def suite_run(cli_env):
+    """`dawin suite` on the CLI-trained endpoints: its exit code and stdout lines."""
+    out = cli_env["root"] / "checks.json"
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = cli.main([
+            "suite", "--suite", str(cli_env["suite"]),
+            "--theta0", str(cli_env["zs"]), "--theta1", str(cli_env["ft"]),
+            "--out", str(out),
+        ])
+    return code, stdout.getvalue().splitlines()
+
+
+def test_suite_exit_status_matches_printed_tally(suite_run):
+    code, lines = suite_run
     tally = re.fullmatch(r"(\d+)/(\d+) checks passed, (\d+) failed", lines[-1])
     assert tally, lines[-1]
     passed, total, failed = (int(g) for g in tally.groups())
@@ -320,6 +330,71 @@ def test_suite_exit_status_matches_printed_tally(cli_env, tmp_path, capsys):
     assert failed == sum(not line.startswith("PASS") for line in lines[:-1])
     assert code == (cli.SUITE_FAILED_EXIT if failed else 0)
     assert code in (0, 3)
+
+
+def test_suite_retrains_the_specialist_with_its_own_config(suite_run):
+    # cli_env's specialist was trained for 2 epochs, not the role default of 5
+    _, lines = suite_run
+    assert "PASS determinism (0/4)" in lines, lines
+
+
+def test_suite_batch_below_clustered_k_is_a_usage_error(cli_env, capsys):
+    capsys.readouterr()
+    code = cli.main([
+        "suite", "--suite", str(cli_env["suite"]),
+        "--theta0", str(cli_env["zs"]), "--theta1", str(cli_env["ft"]),
+        "--batch-size", "2",
+    ])
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and "clustered_gap_and_count" in err[0], err
+    assert not re.search(r"^(PASS|FAIL) ", captured.out, re.MULTILINE), captured.out
+
+
+def test_suite_help_lists_every_check(capsys):
+    assert cli.main(["suite", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for name in harness.CHECKS:
+        assert name in text
+
+
+def test_eval_bad_grid_is_a_usage_error(cli_env, tmp_path, capsys):
+    code = cli.main([
+        "eval", "--suite", str(cli_env["suite"]), "--strategy", "oracle_domain",
+        "--grid", "0.1,x", "--out", str(tmp_path / "r.json"),
+    ])
+    capsys.readouterr()
+    assert code == 1
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+def test_bad_config_file_exits_2(cli_env, tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    capsys.readouterr()
+    code = cli.main([
+        "eval", "--suite", str(cli_env["suite"]), "--strategy", "zs",
+        "--config", str(cfg), "--out", str(tmp_path / "r.json"),
+    ])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and str(cfg) in err[0], err
+
+
+def test_eval_csv_writes_the_strategy_table(cli_env, tmp_path):
+    out, table = tmp_path / "r.json", tmp_path / "r.csv"
+    assert cli.main([
+        "eval", "--suite", str(cli_env["suite"]),
+        "--theta0", str(cli_env["zs"]), "--theta1", str(cli_env["ft"]),
+        "--strategy", "zs", "--strategy", "ft", "--out", str(out), "--csv", str(table),
+    ]) == 0
+    header, *rows = table.read_text().splitlines()
+    assert header == "strategy,domain,accuracy,mean_entropy,merge_count,wall_ms"
+    report = load_report(out)
+    assert [r.split(",")[:2] for r in rows] == [[r["strategy"], r["domain"]] for r in report.rows]
+    assert [float(r.split(",")[2]) for r in rows] == [r["accuracy"] for r in report.rows]
 
 
 def test_console_script_help():

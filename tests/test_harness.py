@@ -24,9 +24,7 @@ from dawin.harness import (
 from dawin.merge import (
     DEFAULT_GRID,
     STRATEGIES,
-    MergeOptions,
     MergeStrategy,
-    dawin_sample_eval,
     model_eval,
 )
 
@@ -150,17 +148,9 @@ def test_add_result_rejects_shape_mismatch(suite0, experts0):
         report.add_result(out, suite0.id_test.y[:-1])
 
 
-def test_offset_toggle_changes_coefficients(suite0, experts0):
-    dom = suite0.id_test
-    plain = dawin_sample_eval(
-        experts0.arch, experts0.theta0, experts0.theta1, dom,
-        MergeOptions(offset_adjust=False),
-    )
-    adjusted = dawin_sample_eval(
-        experts0.arch, experts0.theta0, experts0.theta1, dom,
-        MergeOptions(offset_adjust=True),
-    )
-    assert np.abs(plain.chosen - adjusted.chosen).max() > 1e-6
+def test_offset_toggle_changes_coefficients(checks0):
+    check = checks0["offset_changes_coefficients"]
+    assert check.passed, check
 
 
 def test_pilot_signature_is_reproducible(suite0, experts0, pilot0):
@@ -325,10 +315,14 @@ def tiny_experts(tiny_suite):
 
 def test_property_suite_runs_with_task_experts(tiny_suite, tiny_experts):
     def dominance_samples(experts):
-        checks = harness.run_property_suite(tiny_suite, experts)
-        return {c.name: c for c in checks}["lemma_expert_dominance_benchmark"].samples
+        run = harness.CHECKS["lemma_expert_dominance_benchmark"]
+        [check] = run(harness.CheckContext(tiny_suite, experts))
+        return check.samples
 
     assert tiny_experts.task_experts
     pair_only = dataclasses.replace(tiny_experts, task_experts=())
     assert dominance_samples(tiny_experts) > dominance_samples(pair_only)
 
+
+def test_seed0_property_suite_fails_only_the_documented_check(checks0):
+    assert [name for name, c in checks0.items() if not c.passed] == ["entropy_valley[ood_rot60]"]
