@@ -41,7 +41,7 @@ print(f"\nper-sample merging: accuracy {accuracy(exact, dom.y):.4f}, "
 
 print(f"\n{'K':>3}  {'accuracy':>9}  {'gap':>8}  {'merges':>7}  {'loglik':>10}")
 for k in KS:
-    model = em_fit(lam, k=k, seed=0)
+    model = em_fit(lam, k=k)
     clustered = dawin_clustered_eval(arch, t0, t1, dom, k=k)
     acc = accuracy(clustered, dom.y)
     gap = acc - accuracy(exact, dom.y)
@@ -52,5 +52,5 @@ for k in KS:
 out = os.path.join(harness.report_root(), f"mixture_{DOMAIN}_k3.json")
 os.makedirs(os.path.dirname(out), exist_ok=True)
 with open(out, "w") as fh:
-    json.dump(mixture_to_dict(em_fit(lam, k=3, seed=0)), fh, indent=2, sort_keys=True)
+    json.dump(mixture_to_dict(em_fit(lam, k=3)), fh, indent=2, sort_keys=True)
 print(f"\nK=3 mixture written to {out}")

@@ -227,11 +227,10 @@ def cmd_coeffs(args, config) -> int:
 def cmd_fit_mixture(args, config) -> int:
     batch = load_coefficients(args.coeffs)
     k = int(_resolve(args, config, "k", 3))
-    seed = int(_resolve(args, config, "em_seed", 0))
     if batch.coefficients.ndim == 1:
-        model = em_fit(batch.coefficients, k, seed=seed)
+        model = em_fit(batch.coefficients, k)
     else:
-        model = dirichlet_em_fit(batch.coefficients, k, seed=seed)
+        model = dirichlet_em_fit(batch.coefficients, k)
     save_mixture(model, args.out)
     print(
         f"K={k} mixture (loglik {model.loglik_trace[-1]:.4f}, "
@@ -255,7 +254,6 @@ def _merge_options(args, config, suite, experts=None) -> MergeOptions:
         temperatures=temperatures,
         batch_size=None if batch_size is None else int(batch_size),
         posterior_membership=bool(_resolve(args, config, "posterior_membership", False)),
-        seed=int(_resolve(args, config, "em_seed", 0)),
     )
 
 
@@ -343,16 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--em-seed", dest="em_seed", type=int,
-                       help="seed for mixture-model fitting (default 0)")
-
     p = sub.add_parser("gen", help="generate a benchmark suite to a directory")
     p.add_argument("--seed", type=int, help="root seed (default 0)")
     p.add_argument("--spec", help="JSON file with suite-spec overrides")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="JSON config file; flags override its values")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train a role model on a generated suite")
@@ -371,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", dest="hidden_widths", type=int, nargs="+",
                    help="hidden layer widths when training from scratch (default 64 64)")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--config", help="JSON config file; flags override its values")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("coeffs", help="compute per-sample interpolation coefficients")
@@ -383,14 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="plain",
                    help="plain | offset_adjusted | oracle | pseudo_label:<variant>")
     p.add_argument("--out", required=True, help="coefficients CSV path")
-    p.add_argument("--config", help="JSON config file; flags override its values")
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("fit-mixture", help="fit a Beta/Dirichlet mixture to coefficients")
     p.add_argument("--coeffs", required=True, help="coefficients CSV from coeffs")
     p.add_argument("--k", type=int, help="component count (default 3)")
     p.add_argument("--out", required=True, help="mixture JSON path")
-    common(p)
     p.set_defaults(func=cmd_fit_mixture)
 
     def eval_like(p, with_tasks=False):
@@ -412,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--posterior-membership", dest="posterior_membership",
                        action="store_true", default=None,
                        help="soft mixture membership instead of hard assignment")
-        common(p)
 
     p = sub.add_parser("eval", help="evaluate merging strategies and write a report")
     eval_like(p, with_tasks=True)
@@ -441,6 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     eval_like(p, with_tasks=True)
     p.add_argument("--out", help="optional property-check report JSON path")
     p.set_defaults(func=cmd_suite)
+
+    for p in sub.choices.values():
+        p.add_argument("--config", help="JSON config file; flags override its values")
     return parser
 
 

@@ -276,6 +276,8 @@ class CoefficientBatch:
 
     def __post_init__(self) -> None:
         coeffs = np.array(self.coefficients, dtype=np.float64, copy=True)
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coefficients must be finite")
         if coeffs.ndim == 1:
             if np.any(coeffs < 0.0) or np.any(coeffs > 1.0):
                 raise ValueError("scalar coefficients must lie in [0, 1]")
@@ -325,7 +327,7 @@ def load_coefficients(path: str) -> CoefficientBatch:
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             rows = list(csv.reader(handle))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
     if len(rows) < 2:
         raise DataFormatError(f"{path}: no coefficient rows")
@@ -346,6 +348,10 @@ def load_coefficients(path: str) -> CoefficientBatch:
             mat[i - 1] = [float(v) for v in row[1:-1]]
         except ValueError as exc:
             raise DataFormatError(f"{path}: row {i}: {exc}") from exc
+        # Two columns are stored as (1 - lambda, lambda) and only lambda is
+        # kept, so the row must sum to 1 as M >= 3 rows must.
+        if m == 2 and not abs(mat[i - 1].sum() - 1.0) <= 1e-9:
+            raise DataFormatError(f"{path}: row {i}: lambda_0 + lambda_1 is not 1 within 1e-9")
         if mode is None:
             mode = row[-1]
         elif row[-1] != mode:

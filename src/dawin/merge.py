@@ -26,7 +26,6 @@ from .expertise import (
     oracle_coeff,
 )
 from .mixture import (
-    dirichlet_component_mean,
     dirichlet_em_fit,
     dirichlet_membership,
     em_fit,
@@ -90,7 +89,6 @@ class MergeOptions:
     temperatures: tuple[float, ...] | None = None
     batch_size: int | None = None
     posterior_membership: bool = False
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.batch_size is not None and self.batch_size < 2:
@@ -356,7 +354,7 @@ def dawin_clustered_eval(
     for idx in _chunks(n, options.batch_size, min_tail=max(k, 2)):
         _, ents = _model_probs(arch, [theta0, theta1], domain.x[idx], options.temperatures)
         lam = _pair_lambdas(ents[:, 0], ents[:, 1], options)
-        model = em_fit(lam, k, seed=options.seed)
+        model = em_fit(lam, k)
         member = np.atleast_1d(infer_membership(model, lam, options.posterior_membership))
         for j, comp in enumerate(model.components):
             merged = interpolate_pair(theta0, theta1, min(max(comp.mean, 0.0), 1.0))
@@ -406,10 +404,10 @@ def dawin_task_arith_eval(
         chosen[:] = rows
     else:
         probs = np.empty((n, arch.class_count))
-        model = dirichlet_em_fit(rows, k, seed=options.seed)
+        model = dirichlet_em_fit(rows, k)
         member = np.atleast_1d(dirichlet_membership(model, rows, options.posterior_membership))
-        for j in range(model.k):
-            weights = dirichlet_component_mean(model, j)
+        for j, comp in enumerate(model.components):
+            weights = np.asarray(comp.mean)
             merged = combine_task_vectors(theta0, lambda0, weights, list(taus))
             merge_count += 1
             mask = member == j

@@ -16,8 +16,12 @@ raw values, and components are returned sorted by mean. Method-of-moments
 updates carry no monotonicity guarantee, so a step that would lower the
 log-likelihood is rolled back and the fit stops there.
 
-The Dirichlet variant runs the same skeleton on simplex rows; the component
-precision comes from the first coordinate's variance.
+One EM loop (_em) serves both families. Each family gives it a range check,
+run once per fit; a log density over logs taken once per fit; a moment
+estimator; and a sort key. Both estimators share _concentration, the one
+place the point-mass and diffuse fallbacks live. The Dirichlet variant works
+on simplex rows: its K-means init runs on the last coordinate and the
+component precision comes from the first coordinate's variance.
 
 The E-step works on a component-major (K, n) log-joint: the logs of the
 clipped values are taken once per fit, each iteration fills all K rows in one
@@ -49,13 +53,13 @@ DEFAULT_MAX_ITER = 200
 MIXTURE_SCHEMA_VERSION = 1
 
 
-def kmeans_1d(values: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+def kmeans_1d(values: np.ndarray, k: int) -> np.ndarray:
     """Lloyd's algorithm on scalars, centers seeded at evenly spaced quantiles.
 
-    Deterministic: quantile initialization needs no randomness (the seed is
-    accepted for interface uniformity). Iterates to an assignment fixpoint or
-    100 rounds; empty clusters keep their previous center. Returned labels are
-    remapped so cluster centers increase with the label.
+    Deterministic: quantile initialization needs no randomness. Iterates to an
+    assignment fixpoint or 100 rounds; empty clusters keep their previous
+    center. Returned labels are remapped so cluster centers increase with the
+    label.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
@@ -84,28 +88,37 @@ def kmeans_1d(values: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     return remap[labels]
 
 
-def mom_estimate(values: np.ndarray, resp: np.ndarray) -> tuple[float, float]:
+def _concentration(mean: float, var: float) -> float:
+    """Moment-matched precision C = mean (1 - mean) / var - 1, with the
+    point-mass and diffuse fallbacks."""
+    if var < POINT_MASS_VAR:
+        return CONCENTRATION_POINT_MASS
+    conc = mean * (1.0 - mean) / var - 1.0
+    if conc <= 0.0:
+        conc = CONCENTRATION_DIFFUSE
+    return conc
+
+
+def _beta_mom(values: np.ndarray, resp: np.ndarray) -> tuple[float, float]:
     """Method-of-moments Beta shapes from responsibility-weighted moments."""
-    values = np.asarray(values, dtype=np.float64)
-    resp = np.asarray(resp, dtype=np.float64)
-    if values.shape != resp.shape or values.ndim != 1:
-        raise ValueError("values and responsibilities must be equal-length vectors")
-    if np.any(resp < 0.0):
-        raise ValueError("responsibilities must be non-negative")
     total = resp.sum()
     if total <= 0.0:
         raise ValueError("zero effective weight")
     mean = float((resp * values).sum() / total)
     var = float((resp * (values - mean) ** 2).sum() / total)
-    if var < POINT_MASS_VAR:
-        conc = CONCENTRATION_POINT_MASS
-    else:
-        conc = mean * (1.0 - mean) / var - 1.0
-        if conc <= 0.0:
-            conc = CONCENTRATION_DIFFUSE
-    a = conc * mean + SHAPE_EPS
-    b = conc * (1.0 - mean) + SHAPE_EPS
-    return a, b
+    conc = _concentration(mean, var)
+    return conc * mean + SHAPE_EPS, conc * (1.0 - mean) + SHAPE_EPS
+
+
+def _dirichlet_mom(rows: np.ndarray, resp: np.ndarray) -> np.ndarray:
+    """Method-of-moments Dirichlet alpha; the precision comes from the first
+    coordinate's variance."""
+    total = resp.sum()
+    if total <= 0.0:
+        raise ValueError("zero effective weight")
+    mean = (resp[:, None] * rows).sum(axis=0) / total
+    var1 = float((resp * (rows[:, 0] - mean[0]) ** 2).sum() / total)
+    return _concentration(mean[0], var1) * mean + SHAPE_EPS
 
 
 def _clipped_logs(x) -> tuple[np.ndarray, np.ndarray]:
@@ -119,6 +132,19 @@ def _beta_log_density(log_x, log_1mx, a, b):
     density; (K, 1) shape columns give a component-major (K, n) block."""
     const = gammaln(a + b) - gammaln(a) - gammaln(b)
     return const + (a - 1.0) * log_x + (b - 1.0) * log_1mx
+
+
+def _clipped_log_rows(rows) -> np.ndarray:
+    """ln of every coordinate after clipping into [1e-6, 1 - 1e-6]."""
+    return np.log(np.clip(np.asarray(rows, dtype=np.float64), VALUE_CLIP, 1.0 - VALUE_CLIP))
+
+
+def _dirichlet_log_density(log_rows: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """ln Dir(row; alpha) from log rows, summed per row over the M models.
+    An (M,) alpha gives one density per row; a (K, 1, M) stack gives a
+    component-major (K, n) block."""
+    const = gammaln(alpha.sum(axis=-1)) - gammaln(alpha).sum(axis=-1)
+    return const + ((alpha - 1.0) * log_rows).sum(axis=-1)
 
 
 def _logsumexp_components(log_joint: np.ndarray) -> np.ndarray:
@@ -148,6 +174,86 @@ def _logsumexp_components(log_joint: np.ndarray) -> np.ndarray:
     return out
 
 
+def _log_pi(pis) -> np.ndarray:
+    """(K, 1) column of floored log mixing proportions."""
+    return np.array([np.log(max(pi, PI_FLOOR)) for pi in pis])[:, None]
+
+
+def _renormalize(comps: list[tuple]) -> list[tuple]:
+    total = sum(max(pi, PI_FLOOR) for _, pi in comps)
+    return [(params, max(pi, PI_FLOOR) / total) for params, pi in comps]
+
+
+def _em(init_values, k, log_density, mom, tol, max_iter):
+    """The EM loop both families run, over (params, pi) pairs.
+
+    K-means on init_values gives the first memberships. log_density(params)
+    turns the list of component parameters into a (K, n) block of log
+    densities, and mom(resp) is one component's M-step. Returns
+    (comps, trace, converged, iterations), comps in component order.
+    """
+    n = init_values.shape[0]
+    if n < max(k, 2):
+        raise InsufficientSamplesError(f"need at least {max(k, 2)} samples, got {n}")
+    if k < 1:
+        raise ValueError("k must be positive")
+    labels = kmeans_1d(init_values, k)
+    # An empty init cluster still needs parameters; the global fit keeps it
+    # harmless until responsibilities decide its fate.
+    global_params = mom(np.ones(n))
+    comps = []
+    for j in range(k):
+        mask = labels == j
+        comps.append((mom(mask.astype(np.float64)) if mask.any() else global_params,
+                      mask.sum() / n))
+    comps = _renormalize(comps)
+
+    trace: list[float] = []
+    converged = False
+    iterations = 0
+    for it in range(max_iter):
+        log_joint = _log_pi([pi for _, pi in comps]) + log_density([p for p, _ in comps])
+        log_norm = _logsumexp_components(log_joint)
+        loglik = float(log_norm.sum())
+        if trace and loglik < trace[-1] - 1e-10:
+            # Moment-matching step lowered the likelihood; undo and stop.
+            comps = prev_comps
+            converged = True
+            break
+        trace.append(loglik)
+        iterations = it + 1
+        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
+            converged = True
+            break
+        gamma = np.exp(log_joint - log_norm)
+        prev_comps = comps
+        new_comps = []
+        for (params, _), resp in zip(comps, gamma):
+            mass = resp.sum()
+            if mass < RESP_FLOOR_FRACTION * n:
+                # Starved component: freeze parameters, floor its weight.
+                new_comps.append((params, PI_FLOOR))
+            else:
+                new_comps.append((mom(resp), mass / n))
+        comps = _renormalize(new_comps)
+    return comps, trace, converged, iterations
+
+
+@dataclass(frozen=True)
+class _Mixture:
+    components: tuple
+    loglik_trace: tuple[float, ...]
+    converged: bool
+    iterations: int
+    clip: float = VALUE_CLIP
+
+    @property
+    def k(self) -> int:
+        return len(self.components)
+
+
+# ----- Beta -----------------------------------------------------------------------
+
 def beta_log_pdf(x: np.ndarray | float, a: float, b: float) -> np.ndarray | float:
     """Log Beta(a, b) density; x is clipped into [1e-6, 1 - 1e-6]."""
     if a <= 0.0 or b <= 0.0:
@@ -168,32 +274,8 @@ class BetaComponent:
 
 
 @dataclass(frozen=True)
-class BetaMixtureModel:
+class BetaMixtureModel(_Mixture):
     components: tuple[BetaComponent, ...]
-    loglik_trace: tuple[float, ...]
-    converged: bool
-    iterations: int
-    seed: int
-    clip: float = VALUE_CLIP
-
-    @property
-    def k(self) -> int:
-        return len(self.components)
-
-
-def _log_pi(pis) -> np.ndarray:
-    """(K, 1) column of floored log mixing proportions."""
-    return np.array([np.log(max(pi, PI_FLOOR)) for pi in pis])[:, None]
-
-
-def _log_joint_beta(
-    log_x: np.ndarray, log_1mx: np.ndarray, comps: list[tuple[float, float, float]]
-) -> np.ndarray:
-    """(K, n) matrix of ln pi_k + ln Beta(x_i; a_k, b_k)."""
-    a, b, pi = zip(*comps)
-    return _log_pi(pi) + _beta_log_density(
-        log_x, log_1mx, np.array(a)[:, None], np.array(b)[:, None]
-    )
 
 
 def em_fit(
@@ -201,78 +283,30 @@ def em_fit(
     k: int,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
 ) -> BetaMixtureModel:
     """Fit a K-component Beta mixture to scalar coefficients."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError("em_fit expects a vector of coefficients")
-    if np.any(values < 0.0) or np.any(values > 1.0):
+    if not np.all((values >= 0.0) & (values <= 1.0)):
         raise ValueError("coefficients must lie in [0, 1]")
-    n = values.shape[0]
-    if n < max(k, 2):
-        raise InsufficientSamplesError(f"need at least {max(k, 2)} values, got {n}")
-    if k < 1:
-        raise ValueError("k must be positive")
     values = np.clip(values, VALUE_CLIP, 1.0 - VALUE_CLIP)
     log_x, log_1mx = np.log(values), np.log(1.0 - values)
 
-    labels = kmeans_1d(values, k, seed)
-    comps: list[tuple[float, float, float]] = []
-    global_shapes = mom_estimate(values, np.ones(n))
-    for j in range(k):
-        mask = labels == j
-        pi = mask.sum() / n
-        # An empty init cluster still needs parameters; the global fit keeps
-        # it harmless until responsibilities decide its fate.
-        shapes = mom_estimate(values, mask.astype(np.float64)) if mask.any() else global_shapes
-        comps.append((shapes[0], shapes[1], pi))
-    comps = _renormalize(comps)
+    def log_density(shapes):
+        a, b = zip(*shapes)
+        return _beta_log_density(log_x, log_1mx, np.array(a)[:, None], np.array(b)[:, None])
 
-    trace: list[float] = []
-    converged = False
-    iterations = 0
-    for it in range(max_iter):
-        log_joint = _log_joint_beta(log_x, log_1mx, comps)
-        log_norm = _logsumexp_components(log_joint)
-        loglik = float(log_norm.sum())
-        if trace and loglik < trace[-1] - 1e-10:
-            # Moment-matching step lowered the likelihood; undo and stop.
-            comps = prev_comps
-            converged = True
-            break
-        trace.append(loglik)
-        iterations = it + 1
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
-            converged = True
-            break
-        gamma = np.exp(log_joint - log_norm)
-        prev_comps = comps
-        new_comps = []
-        for j in range(k):
-            mass = gamma[j].sum()
-            if mass < RESP_FLOOR_FRACTION * n:
-                # Starved component: freeze parameters, floor its weight.
-                a, b, _ = comps[j]
-                new_comps.append((a, b, PI_FLOOR))
-                continue
-            a, b = mom_estimate(values, gamma[j])
-            new_comps.append((a, b, mass / n))
-        comps = _renormalize(new_comps)
-
-    comps = sorted(comps, key=lambda c: c[0] / (c[0] + c[1]))
+    comps, trace, converged, iterations = _em(
+        values, k, log_density, lambda resp: _beta_mom(values, resp), tol, max_iter
+    )
+    comps.sort(key=lambda c: c[0][0] / (c[0][0] + c[0][1]))
     return BetaMixtureModel(
-        components=tuple(BetaComponent(a=a, b=b, pi=pi) for a, b, pi in comps),
+        components=tuple(BetaComponent(a=a, b=b, pi=pi) for (a, b), pi in comps),
         loglik_trace=tuple(trace),
         converged=converged,
         iterations=iterations,
-        seed=int(seed),
     )
-
-
-def _renormalize(comps: list[tuple[float, float, float]]) -> list[tuple[float, float, float]]:
-    total = sum(max(pi, PI_FLOOR) for _, _, pi in comps)
-    return [(a, b, max(pi, PI_FLOOR) / total) for a, b, pi in comps]
 
 
 def infer_membership(
@@ -294,7 +328,7 @@ def infer_membership(
     return int(member) if np.ndim(member) == 0 else member
 
 
-# ----- Dirichlet variant --------------------------------------------------------
+# ----- Dirichlet ------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DirichletComponent:
@@ -308,55 +342,12 @@ class DirichletComponent:
 
 
 @dataclass(frozen=True)
-class DirichletMixtureModel:
+class DirichletMixtureModel(_Mixture):
     components: tuple[DirichletComponent, ...]
-    loglik_trace: tuple[float, ...]
-    converged: bool
-    iterations: int
-    seed: int
-    clip: float = VALUE_CLIP
-
-    @property
-    def k(self) -> int:
-        return len(self.components)
 
     @property
     def n_models(self) -> int:
         return len(self.components[0].alpha)
-
-
-def _clipped_log_rows(rows) -> np.ndarray:
-    """ln of every coordinate after clipping into [1e-6, 1 - 1e-6]."""
-    return np.log(np.clip(np.asarray(rows, dtype=np.float64), VALUE_CLIP, 1.0 - VALUE_CLIP))
-
-
-def _dirichlet_log_density(log_rows: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """ln Dir(row; alpha) from log rows, summed per row over the M models.
-    An (M,) alpha gives one density per row; a (K, 1, M) stack gives a
-    component-major (K, n) block."""
-    const = gammaln(alpha.sum(axis=-1)) - gammaln(alpha).sum(axis=-1)
-    return const + ((alpha - 1.0) * log_rows).sum(axis=-1)
-
-
-def _log_joint_dirichlet(log_rows: np.ndarray, comps: list[tuple[np.ndarray, float]]) -> np.ndarray:
-    """(K, n) matrix of ln pi_k + ln Dir(row_i; alpha_k)."""
-    alpha = np.stack([alpha for alpha, _ in comps])[:, None, :]
-    return _log_pi([pi for _, pi in comps]) + _dirichlet_log_density(log_rows, alpha)
-
-
-def _dirichlet_mom(rows: np.ndarray, resp: np.ndarray) -> np.ndarray:
-    total = resp.sum()
-    if total <= 0.0:
-        raise ValueError("zero effective weight")
-    mean = (resp[:, None] * rows).sum(axis=0) / total
-    var1 = float((resp * (rows[:, 0] - mean[0]) ** 2).sum() / total)
-    if var1 < POINT_MASS_VAR:
-        conc = CONCENTRATION_POINT_MASS
-    else:
-        conc = mean[0] * (1.0 - mean[0]) / var1 - 1.0
-        if conc <= 0.0:
-            conc = CONCENTRATION_DIFFUSE
-    return conc * mean + SHAPE_EPS
 
 
 def dirichlet_em_fit(
@@ -364,65 +355,23 @@ def dirichlet_em_fit(
     k: int,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
 ) -> DirichletMixtureModel:
-    """Fit a K-component Dirichlet mixture to simplex rows.
-
-    Same EM skeleton as em_fit; K-means initialization runs on the last
-    coordinate, and the per-component precision comes from the first
-    coordinate's variance. With two columns this reproduces em_fit exactly
-    (alpha = (b, a))."""
+    """Fit a K-component Dirichlet mixture to simplex rows. With two columns
+    this reproduces em_fit exactly (alpha = (b, a))."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] < 2:
         raise ValueError("expected (n, M) rows with M >= 2")
-    if np.any(rows < -1e-9) or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-6):
+    if not (np.all(rows >= -1e-9) and np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-6)):
         raise ValueError("rows must lie on the probability simplex within 1e-6")
-    n = rows.shape[0]
-    if n < max(k, 2):
-        raise InsufficientSamplesError(f"need at least {max(k, 2)} rows, got {n}")
-    if k < 1:
-        raise ValueError("k must be positive")
     rows = np.clip(rows, VALUE_CLIP, 1.0 - VALUE_CLIP)
     log_rows = np.log(rows)
-
-    labels = kmeans_1d(rows[:, -1], k, seed)
-    global_alpha = _dirichlet_mom(rows, np.ones(n))
-    comps: list[tuple[np.ndarray, float]] = []
-    for j in range(k):
-        mask = labels == j
-        pi = mask.sum() / n
-        alpha = _dirichlet_mom(rows, mask.astype(np.float64)) if mask.any() else global_alpha
-        comps.append((alpha, pi))
-    comps = _renormalize_dir(comps)
-
-    trace: list[float] = []
-    converged = False
-    iterations = 0
-    for it in range(max_iter):
-        log_joint = _log_joint_dirichlet(log_rows, comps)
-        log_norm = _logsumexp_components(log_joint)
-        loglik = float(log_norm.sum())
-        if trace and loglik < trace[-1] - 1e-10:
-            comps = prev_comps
-            converged = True
-            break
-        trace.append(loglik)
-        iterations = it + 1
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
-            converged = True
-            break
-        gamma = np.exp(log_joint - log_norm)
-        prev_comps = comps
-        new_comps = []
-        for j in range(k):
-            mass = gamma[j].sum()
-            if mass < RESP_FLOOR_FRACTION * n:
-                new_comps.append((comps[j][0], PI_FLOOR))
-                continue
-            new_comps.append((_dirichlet_mom(rows, gamma[j]), mass / n))
-        comps = _renormalize_dir(new_comps)
-
-    comps = sorted(comps, key=lambda c: c[0][-1] / c[0].sum())
+    comps, trace, converged, iterations = _em(
+        rows[:, -1], k,
+        lambda alphas: _dirichlet_log_density(log_rows, np.stack(alphas)[:, None, :]),
+        lambda resp: _dirichlet_mom(rows, resp),
+        tol, max_iter,
+    )
+    comps.sort(key=lambda c: c[0][-1] / c[0].sum())
     return DirichletMixtureModel(
         components=tuple(
             DirichletComponent(alpha=tuple(float(a) for a in alpha), pi=pi)
@@ -431,13 +380,7 @@ def dirichlet_em_fit(
         loglik_trace=tuple(trace),
         converged=converged,
         iterations=iterations,
-        seed=int(seed),
     )
-
-
-def _renormalize_dir(comps: list[tuple[np.ndarray, float]]) -> list[tuple[np.ndarray, float]]:
-    total = sum(max(pi, PI_FLOOR) for _, pi in comps)
-    return [(alpha, max(pi, PI_FLOOR) / total) for alpha, pi in comps]
 
 
 def dirichlet_membership(
@@ -453,12 +396,6 @@ def dirichlet_membership(
         scores = _log_pi([c.pi for c in model.components]) + scores
     member = scores.argmax(axis=0)
     return int(member[0]) if single else member
-
-
-def dirichlet_component_mean(model: DirichletMixtureModel, k: int) -> np.ndarray:
-    if not 0 <= k < model.k:
-        raise IndexError(f"component index {k} out of range for K={model.k}")
-    return np.asarray(model.components[k].mean)
 
 
 # ----- persistence --------------------------------------------------------------
@@ -477,7 +414,6 @@ def mixture_to_dict(model: BetaMixtureModel | DirichletMixtureModel) -> dict:
         "loglik_trace": list(model.loglik_trace),
         "converged": model.converged,
         "iterations": model.iterations,
-        "seed": model.seed,
         "clip": model.clip,
         "shape_eps": SHAPE_EPS,
     }
@@ -494,7 +430,6 @@ def mixture_from_dict(data: dict) -> BetaMixtureModel | DirichletMixtureModel:
             "loglik_trace": tuple(float(v) for v in data["loglik_trace"]),
             "converged": bool(data["converged"]),
             "iterations": int(data["iterations"]),
-            "seed": int(data["seed"]),
             "clip": float(data["clip"]),
         }
         if family == "beta":
@@ -512,7 +447,7 @@ def mixture_from_dict(data: dict) -> BetaMixtureModel | DirichletMixtureModel:
             )
             return DirichletMixtureModel(components=dcomps, **common)
         raise DataFormatError(f"unknown mixture family {family!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"malformed mixture payload: {exc}") from exc
 
 
@@ -526,6 +461,9 @@ def load_mixture(path: str) -> BetaMixtureModel | DirichletMixtureModel:
             data = json.load(handle)
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
-    return mixture_from_dict(data)
+    try:
+        return mixture_from_dict(data)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc

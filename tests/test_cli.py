@@ -119,6 +119,39 @@ def test_coeffs_then_fit_mixture_round_trip(cli_env, tmp_path):
     assert len(model.components) == 2
 
 
+@pytest.mark.parametrize("rows, fragment", [
+    (["0,0.7,0.3,plain", "1,nan,nan,plain"], "row 2"),  # two columns: a Beta fit
+    (["0,0.2,0.3,0.5,plain", "1,nan,0.3,0.5,plain"], "finite"),  # a Dirichlet fit
+    (["0,0.9,0.1,plain", "1,0.9,0.4,plain", "2,0.5,0.5,plain"], "row 2"),  # lambda_0 read
+    (["0,0.5,0.5,plain", "1,0.5\xff,0.5,plain"], "decode"),  # not UTF-8
+], ids=["beta_nan", "dirichlet_nan", "pair_not_on_simplex", "not_utf8"])
+def test_fit_mixture_rejects_bad_coefficients(tmp_path, capsys, rows, fragment):
+    m = rows[0].count(",") - 1
+    coeffs = tmp_path / "coeffs.csv"
+    header = ",".join(["sample_index"] + [f"lambda_{j}" for j in range(m)] + ["mode"])
+    coeffs.write_bytes(("\n".join([header] + rows) + "\n").encode("latin-1"))
+    capsys.readouterr()
+    code = cli.main(["fit-mixture", "--coeffs", str(coeffs), "--k", "1",
+                     "--out", str(tmp_path / "mix.json")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and str(coeffs) in err[0] and fragment in err[0], err
+    assert not (tmp_path / "mix.json").exists()
+
+
+def test_fit_mixture_on_three_columns_fits_a_dirichlet(tmp_path):
+    rows = np.random.default_rng(0).dirichlet((2.0, 3.0, 4.0), size=40)
+    coeffs = tmp_path / "coeffs.csv"
+    coeffs.write_text("sample_index,lambda_0,lambda_1,lambda_2,mode\n" + "".join(
+        f"{i},{r[0]:.17g},{r[1]:.17g},{1.0 - r[0] - r[1]:.17g},plain\n" for i, r in enumerate(rows)
+    ))
+    fitted = tmp_path / "mix.json"
+    assert cli.main(["fit-mixture", "--coeffs", str(coeffs), "--k", "2",
+                     "--out", str(fitted)]) == 0
+    model = mixture_from_dict(json.loads(fitted.read_text()))
+    assert model.k == 2 and model.n_models == 3
+
+
 def test_coeffs_oracle_needs_labels(cli_env, tmp_path):
     unlabeled = tmp_path / "points.csv"
     dim = TINY_SPEC.dim
@@ -136,6 +169,8 @@ def test_coeffs_oracle_needs_labels(cli_env, tmp_path):
 def test_usage_errors_exit_1(cli_env, tmp_path, capsys):
     assert cli.main(["frobnicate"]) == 1
     assert cli.main(["eval", "--suite", str(cli_env["suite"])]) == 1  # no --out
+    assert cli.main(["eval", "--suite", str(cli_env["suite"]), "--em-seed", "1",
+                     "--out", str(tmp_path / "r.json")]) == 1  # the fits take no seed
     assert cli.main([]) == 1
     capsys.readouterr()
 

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from dawin.mixture import (
     _dirichlet_mom,
     _logsumexp_components,
     beta_log_pdf,
-    dirichlet_component_mean,
     dirichlet_em_fit,
     dirichlet_membership,
     em_fit,
@@ -29,7 +30,6 @@ from dawin.mixture import (
     load_mixture,
     mixture_from_dict,
     mixture_to_dict,
-    mom_estimate,
     save_mixture,
 )
 
@@ -53,18 +53,18 @@ def test_mom_direct_substitution():
     rng = np.random.default_rng(0)
     values = rng.uniform(size=4000)
     values = 0.5 + math.sqrt(0.05) * (values - values.mean()) / values.std()
-    a, b = mom_estimate(values, np.ones_like(values))
+    a, b = mx._beta_mom(values, np.ones_like(values))
     assert abs(a - 2.0) < 1e-4 and abs(b - 2.0) < 1e-4
 
     values = 0.8 + math.sqrt(0.01) * (values - values.mean()) / values.std()
-    a, b = mom_estimate(values, np.ones_like(values))
+    a, b = mx._beta_mom(values, np.ones_like(values))
     # C = 0.16/0.01 - 1 = 15; a = 12, b = 3
     assert abs(a - 12.0) < 1e-4 and abs(b - 3.0) < 1e-4
 
 
 def test_mom_point_mass_fallback():
     for v in (0.3, 0.5, 0.85):
-        a, b = mom_estimate(np.full(100, v), np.ones(100))
+        a, b = mx._beta_mom(np.full(100, v), np.ones(100))
         assert abs(a / (a + b) - v) < 1e-6
 
 
@@ -84,7 +84,7 @@ def test_beta_pdf_integrates_to_one():
 def test_em_single_component_recovery():
     rng = np.random.default_rng(0)
     values = rng.beta(2.0, 5.0, size=20000)
-    model = em_fit(values, 1, seed=0)
+    model = em_fit(values, 1)
     assert abs(model.components[0].mean - 2.0 / 7.0) < 0.02
 
 
@@ -93,7 +93,7 @@ def test_em_two_component_recovery():
     n = 20000
     pick = rng.uniform(size=n) < 0.6
     values = np.where(pick, rng.beta(20.0, 2.0, size=n), rng.beta(2.0, 20.0, size=n))
-    model = em_fit(values, 2, seed=0)
+    model = em_fit(values, 2)
     comps = sorted(model.components, key=lambda c: c.mean)
     assert abs(comps[0].pi - 0.4) < 0.05 and abs(comps[1].pi - 0.6) < 0.05
     assert abs(comps[0].mean - 2.0 / 22.0) < 0.02
@@ -106,7 +106,7 @@ def test_em_loglik_trace_monotone_on_random_datasets():
         n = int(rng.integers(60, 400))
         k = int(rng.integers(1, 4))
         values = rng.beta(rng.uniform(0.5, 8), rng.uniform(0.5, 8), size=n)
-        model = em_fit(values, k, seed=trial)
+        model = em_fit(values, k)
         trace = np.array(model.loglik_trace)
         assert trace.size >= 1
         assert np.all(np.diff(trace) >= -1e-9)
@@ -115,8 +115,8 @@ def test_em_loglik_trace_monotone_on_random_datasets():
 def test_em_deterministic_given_seed():
     rng = np.random.default_rng(3)
     values = rng.beta(3, 2, size=500)
-    a = em_fit(values, 3, seed=5)
-    b = em_fit(values, 3, seed=5)
+    a = em_fit(values, 3)
+    b = em_fit(values, 3)
     assert a.components == b.components
     assert a.loglik_trace == b.loglik_trace
 
@@ -133,7 +133,6 @@ def test_membership_routes_to_the_right_component():
         loglik_trace=(0.0,),
         converged=True,
         iterations=1,
-        seed=0,
     )
     assert infer_membership(model, 0.05) == 0
     assert infer_membership(model, 0.95) == 1
@@ -157,7 +156,7 @@ def test_mixture_mean_consistency():
     n = 10000
     pick = rng.uniform(size=n) < 0.3
     values = np.where(pick, rng.beta(1.5, 6, size=n), rng.beta(9, 3, size=n))
-    model = em_fit(values, 2, seed=0)
+    model = em_fit(values, 2)
     mix_mean = sum(c.pi * c.mean for c in model.components)
     assert abs(mix_mean - values.mean()) < 0.02
 
@@ -168,17 +167,15 @@ def test_mixture_mean_consistency():
 def test_dirichlet_degenerate_rows():
     v = np.array([0.2, 0.5, 0.3])
     rows = np.tile(v, (200, 1))
-    model = dirichlet_em_fit(rows, 1, seed=0)
-    np.testing.assert_allclose(dirichlet_component_mean(model, 0), v, atol=1e-6)
+    model = dirichlet_em_fit(rows, 1)
+    np.testing.assert_allclose(model.components[0].mean, v, atol=1e-6)
 
 
 def test_dirichlet_single_component_recovery():
     rng = np.random.default_rng(7)
     rows = rng.dirichlet((2.0, 5.0, 3.0), size=20000)
-    model = dirichlet_em_fit(rows, 1, seed=0)
-    np.testing.assert_allclose(
-        dirichlet_component_mean(model, 0), [0.2, 0.5, 0.3], atol=0.02
-    )
+    model = dirichlet_em_fit(rows, 1)
+    np.testing.assert_allclose(model.components[0].mean, [0.2, 0.5, 0.3], atol=0.02)
 
 
 def test_dirichlet_agrees_with_beta_on_pairs():
@@ -187,8 +184,8 @@ def test_dirichlet_agrees_with_beta_on_pairs():
     pick = rng.uniform(size=n) < 0.5
     lam = np.where(pick, rng.beta(2, 12, size=n), rng.beta(12, 2, size=n))
     rows = np.column_stack([1.0 - lam, lam])
-    beta_member = np.asarray(infer_membership(em_fit(lam, 2, seed=0), lam))
-    dir_model = dirichlet_em_fit(rows, 2, seed=0)
+    beta_member = np.asarray(infer_membership(em_fit(lam, 2), lam))
+    dir_model = dirichlet_em_fit(rows, 2)
     dir_member = np.asarray(dirichlet_membership(dir_model, rows))
     # allow a global relabeling between the two fits
     agree = (beta_member == dir_member).mean()
@@ -198,7 +195,7 @@ def test_dirichlet_agrees_with_beta_on_pairs():
 def test_dirichlet_loglik_monotone():
     rng = np.random.default_rng(9)
     rows = rng.dirichlet((1.5, 3.0, 2.0), size=800)
-    model = dirichlet_em_fit(rows, 2, seed=0)
+    model = dirichlet_em_fit(rows, 2)
     assert np.all(np.diff(model.loglik_trace) >= -1e-9)
 
 
@@ -207,7 +204,7 @@ def test_dirichlet_loglik_monotone():
 
 def test_beta_mixture_json_round_trip(tmp_path):
     values = np.random.default_rng(10).beta(3, 5, size=400)
-    model = em_fit(values, 2, seed=1)
+    model = em_fit(values, 2)
     path = tmp_path / "mix.json"
     save_mixture(model, path)
     loaded = load_mixture(path)
@@ -215,27 +212,65 @@ def test_beta_mixture_json_round_trip(tmp_path):
     assert loaded.components == model.components
     assert loaded.loglik_trace == model.loglik_trace
     assert loaded.converged == model.converged
-    assert loaded.seed == model.seed
+    assert loaded == model
 
 
 def test_dirichlet_mixture_json_round_trip(tmp_path):
     rows = np.random.default_rng(11).dirichlet((2, 3, 4), size=300)
-    model = dirichlet_em_fit(rows, 2, seed=2)
+    model = dirichlet_em_fit(rows, 2)
     save_mixture(model, tmp_path / "dir.json")
     loaded = load_mixture(tmp_path / "dir.json")
-    for k in range(model.k):
-        np.testing.assert_array_equal(
-            dirichlet_component_mean(loaded, k), dirichlet_component_mean(model, k)
-        )
+    assert isinstance(loaded, DirichletMixtureModel)
+    assert loaded == model
 
 
-def test_mixture_dict_rejects_garbage():
+def test_mixture_dict_rejects_garbage(tmp_path):
     with pytest.raises(DataFormatError):
         mixture_from_dict({"family": "gaussian"})
-    data = mixture_to_dict(em_fit(np.random.default_rng(12).beta(2, 2, size=60), 1))
+    model = em_fit(np.random.default_rng(12).beta(2, 2, size=60), 1)
+    data = mixture_to_dict(model)
     del data["components"]
     with pytest.raises(DataFormatError):
         mixture_from_dict(data)
+    for key, value in (("schema_version", 2), ("family", "gaussian")):
+        with pytest.raises(DataFormatError, match=str(value)):
+            mixture_from_dict({**mixture_to_dict(model), key: value})
+    for key in ("loglik_trace", "converged", "iterations", "clip"):
+        data = mixture_to_dict(model)
+        del data[key]
+        with pytest.raises(DataFormatError, match=key):
+            mixture_from_dict(data)
+    with pytest.raises(DataFormatError, match="malformed"):
+        mixture_from_dict([mixture_to_dict(model)])
+    bad = tmp_path / "bad.json"
+    for text in ('{"family": ', b"\xff\xfe"):
+        bad.write_text(text) if isinstance(text, str) else bad.write_bytes(text)
+        with pytest.raises(DataFormatError, match="invalid JSON"):
+            load_mixture(bad)
+    bad.write_text(json.dumps({**mixture_to_dict(model), "family": "gaussian"}))
+    with pytest.raises(DataFormatError, match="bad.json"):
+        load_mixture(bad)
+    for unreadable in (tmp_path / "missing.json", tmp_path):
+        with pytest.raises(DataFormatError, match=re.escape(str(unreadable))):
+            load_mixture(unreadable)
+    # Files written before the fits lost their unused seed carry a "seed" key.
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({**mixture_to_dict(model), "seed": 7}))
+    assert load_mixture(old) == model
+
+
+def test_fits_reject_nan_coefficients():
+    values = np.random.default_rng(13).beta(2, 2, size=60)
+    values[5] = np.nan
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        em_fit(values, 2)
+    rows = np.column_stack([1.0 - values, values])
+    with pytest.raises(ValueError, match="simplex"):
+        dirichlet_em_fit(rows, 2)
+    rows = np.random.default_rng(14).dirichlet((2, 3, 4), size=60)
+    rows[7, 0] = np.nan
+    with pytest.raises(ValueError, match="simplex"):
+        dirichlet_em_fit(rows, 2)
 
 
 # ----- exact oracles: the E-step before the component-major kernel ---------------
@@ -267,7 +302,7 @@ def _ref_log_joint_beta(values, comps):
     return np.stack(cols, axis=1)
 
 
-def _ref_em_fit(values, k, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0):
+def _ref_em_fit(values, k, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError("em_fit expects a vector of coefficients")
@@ -280,13 +315,13 @@ def _ref_em_fit(values, k, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0):
         raise ValueError("k must be positive")
     values = np.clip(values, VALUE_CLIP, 1.0 - VALUE_CLIP)
 
-    labels = kmeans_1d(values, k, seed)
+    labels = kmeans_1d(values, k)
     comps = []
-    global_shapes = mom_estimate(values, np.ones(n))
+    global_shapes = mx._beta_mom(values, np.ones(n))
     for j in range(k):
         mask = labels == j
         pi = mask.sum() / n
-        shapes = mom_estimate(values, mask.astype(np.float64)) if mask.any() else global_shapes
+        shapes = mx._beta_mom(values, mask.astype(np.float64)) if mask.any() else global_shapes
         comps.append((shapes[0], shapes[1], pi))
     comps = _ref_renormalize(comps)
 
@@ -315,7 +350,7 @@ def _ref_em_fit(values, k, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0):
                 a, b, _ = comps[j]
                 new_comps.append((a, b, PI_FLOOR))
                 continue
-            a, b = mom_estimate(values, gamma[:, j])
+            a, b = mx._beta_mom(values, gamma[:, j])
             new_comps.append((a, b, mass / n))
         comps = _ref_renormalize(new_comps)
 
@@ -325,7 +360,6 @@ def _ref_em_fit(values, k, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0):
         loglik_trace=tuple(trace),
         converged=converged,
         iterations=iterations,
-        seed=int(seed),
     )
 
 
@@ -360,7 +394,7 @@ def _ref_dirichlet_log_pdf(rows, alpha):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _ref_dirichlet_em_fit(rows, k, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0):
+def _ref_dirichlet_em_fit(rows, k, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] < 2:
         raise ValueError("expected (n, M) rows with M >= 2")
@@ -373,7 +407,7 @@ def _ref_dirichlet_em_fit(rows, k, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, s
         raise ValueError("k must be positive")
     rows = np.clip(rows, VALUE_CLIP, 1.0 - VALUE_CLIP)
 
-    labels = kmeans_1d(rows[:, -1], k, seed)
+    labels = kmeans_1d(rows[:, -1], k)
     global_alpha = _dirichlet_mom(rows, np.ones(n))
     comps = []
     for j in range(k):
@@ -422,7 +456,6 @@ def _ref_dirichlet_em_fit(rows, k, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, s
         loglik_trace=tuple(trace),
         converged=converged,
         iterations=iterations,
-        seed=int(seed),
     )
 
 
@@ -482,7 +515,7 @@ def test_em_fit_equals_reference_fit(k):
     rng = np.random.default_rng(40 + k)
     n = int(rng.integers(60, 200))
     values = rng.beta(rng.uniform(0.5, 6.0), rng.uniform(0.5, 6.0), size=n)
-    _assert_beta_fit_matches(values, k, seed=k)
+    _assert_beta_fit_matches(values, k)
     ties = np.round(values, 2)  # many repeated values
     ties[:4] = (0.0, 1.0, 0.0, 1.0)  # exact ends, clipped before fitting
     _assert_beta_fit_matches(ties, k, max_iter=40)
@@ -526,7 +559,6 @@ def test_membership_tied_maxima_pick_the_lower_index():
         loglik_trace=(0.0,),
         converged=True,
         iterations=1,
-        seed=0,
     )
     lam = np.linspace(0.0, 1.0, 41)
     for posterior in (False, True):
@@ -541,7 +573,7 @@ def test_dirichlet_em_fit_equals_reference_fit(k):
     n = int(rng.integers(60, 200))
     m = 2 + k % 4
     rows = rng.dirichlet(rng.uniform(0.4, 5.0, size=m), size=n)
-    _assert_dirichlet_fit_matches(rows, k, seed=k, max_iter=60)
+    _assert_dirichlet_fit_matches(rows, k, max_iter=60)
     corners = np.zeros((n, m))
     corners[np.arange(n), rng.integers(0, m, size=n)] = 1.0  # point masses at 0 and 1
     _assert_dirichlet_fit_matches(corners, k, max_iter=40)
