@@ -67,6 +67,7 @@ from .harness import (
 )
 from .merge import (
     DEFAULT_GRID,
+    ForwardCache,
     MergeOptions,
     MergeStrategy,
     StrategyResult,

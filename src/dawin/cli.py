@@ -154,6 +154,32 @@ def cmd_train(args, config) -> int:
     return 0
 
 
+def _load_features(path: str) -> np.ndarray:
+    """A feature-only domain CSV: header f0,...,f{d-1}, then d finite values
+    per row."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = [line.rstrip("\r\n").split(",") for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    if not rows or rows[0] != [f"f{i}" for i in range(len(rows[0]))]:
+        raise DataFormatError(f"{path}: neither a labeled nor a feature-only domain CSV")
+    if len(rows) == 1:
+        raise DataFormatError(f"{path}: no data rows")
+    dim = len(rows[0])
+    x = np.empty((len(rows) - 1, dim))
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != dim:
+            raise DataFormatError(f"{path}: row {i}: expected {dim} fields, got {len(row)}")
+        try:
+            x[i - 1] = [float(v) for v in row]
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: row {i}: {exc}") from exc
+        if not np.all(np.isfinite(x[i - 1])):
+            raise DataFormatError(f"{path}: row {i}: non-finite feature value")
+    return x
+
+
 def _resolve_domain(suite, spec_text: str) -> tuple[np.ndarray, np.ndarray | None]:
     """Suite domain name, or a CSV path: labeled per the domain schema, or
     feature-only with header f0,...,f{d-1} (labels come back as None)."""
@@ -168,18 +194,7 @@ def _resolve_domain(suite, spec_text: str) -> tuple[np.ndarray, np.ndarray | Non
         d = load_domain(spec_text)
         return d.x, d.y
     except DataFormatError:
-        pass
-    with open(spec_text, "r", encoding="utf-8", newline="") as fh:
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    if not rows or rows[0] != [f"f{i}" for i in range(len(rows[0]))]:
-        raise DataFormatError(f"{spec_text}: neither a labeled nor a feature-only domain CSV")
-    try:
-        x = np.array([[float(v) for v in row] for row in rows[1:]], dtype=np.float64)
-    except ValueError as exc:
-        raise DataFormatError(f"{spec_text}: {exc}") from exc
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise DataFormatError(f"{spec_text}: no data rows")
-    return x, None
+        return _load_features(spec_text), None
 
 
 def cmd_coeffs(args, config) -> int:
@@ -190,6 +205,10 @@ def cmd_coeffs(args, config) -> int:
     if len(checkpoints) < 2:
         raise DawinError("need at least two --model checkpoints")
     arch = archs[0]
+    if x.shape[1] != arch.input_dim:
+        raise DataFormatError(
+            f"{args.domain}: {x.shape[1]} features per row, but the models take {arch.input_dim}"
+        )
     probs = [forward_batch(arch, c.payload, x) for c in checkpoints]
     ids = tuple(checkpoint_id(c) for c in checkpoints)
     if len(checkpoints) > 2:

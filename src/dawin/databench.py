@@ -374,6 +374,8 @@ def load_domain(path: str, name: str | None = None, shift_spec: dict | None = No
             rows = list(reader)
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     if not rows:
         raise DataFormatError(f"{path}: empty domain file")
     header = rows[0]

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import expit
 
-from .classifier import MlpArchitecture, TrainConfig, TrainJob, forward_batch, train, train_many
+from .classifier import MlpArchitecture, TrainConfig, TrainJob, train, train_many
 from .databench import BenchmarkSuite
 from .errors import DataFormatError, UndefinedOracleError
 from .expertise import (
@@ -37,6 +37,7 @@ from .expertise import (
 from .merge import (
     DEFAULT_GRID,
     STRATEGIES,
+    ForwardCache,
     MergeOptions,
     MergeStrategy,
     StrategyResult,
@@ -317,7 +318,8 @@ def run_pilot(
     grid=DEFAULT_GRID,
 ) -> EvalReport:
     """ZS / FT / best-static / oracle-domain / oracle-sample over every test
-    domain, with the best static coefficient picked on ID validation."""
+    domain, with the best static coefficient picked on ID validation. The
+    strategies share one ForwardCache per domain."""
     experts = experts or build_experts(suite, with_tasks=False)
     arch, t0, t1 = experts.arch, experts.theta0, experts.theta1
     report = EvalReport(suite_seed=suite.seed)
@@ -330,13 +332,14 @@ def run_pilot(
     lam_star = sweep.best_lam
     report.config["best_static_lam"] = lam_star
     for dom in suite.test_domains:
-        report.add_result(model_eval(arch, t0, dom, "zs"), dom.y)
-        report.add_result(model_eval(arch, t1, dom, "ft"), dom.y)
-        static = static_eval(arch, t0, t1, lam_star, dom, name="static_best")
+        cache = ForwardCache()
+        report.add_result(model_eval(arch, t0, dom, "zs", cache), dom.y)
+        report.add_result(model_eval(arch, t1, dom, "ft", cache), dom.y)
+        static = static_eval(arch, t0, t1, lam_star, dom, name="static_best", cache=cache)
         report.add_result(static, dom.y, extras={"lam": lam_star})
-        domain_best = oracle_domain_search(arch, t0, t1, dom, grid)
+        domain_best = oracle_domain_search(arch, t0, t1, dom, grid, cache)
         report.add_result(domain_best, dom.y, extras={"best_lam": domain_best.extras["best_lam"]})
-        report.add_result(oracle_sample_eval(arch, t0, t1, dom), dom.y)
+        report.add_result(oracle_sample_eval(arch, t0, t1, dom, cache), dom.y)
     _ood_average(report, (d.name for d in suite.ood_tests))
     return report
 
@@ -352,7 +355,12 @@ def run_main(
 ) -> EvalReport:
     """Per-strategy metrics on each kind's domains (STRATEGIES), instrumented
     with merge counts and wall-clock. A kind given as a plain string takes its
-    defaults."""
+    defaults.
+
+    Evaluation runs domain by domain, every strategy on a domain sharing one
+    ForwardCache, and the selections that do not depend on the domain are
+    made once per run; rows come out strategy by strategy, each strategy's in
+    its domain order."""
     strategies = [s if isinstance(s, MergeStrategy) else MergeStrategy(str(s)) for s in strategies]
     task_kinds = [s.kind for s in strategies if STRATEGIES[s.kind].on_tasks]
     experts = experts or build_experts(suite, with_tasks=bool(task_kinds))
@@ -365,12 +373,20 @@ def run_main(
         "options": vars(options),
         "architecture": dict(experts.pretrain.arch),
     }
-    for strategy in strategies:
-        entry = STRATEGIES[strategy.kind]
-        extras = {"lambda0": strategy.lambda0} if entry.on_tasks else None
-        for dom in entry.domains(suite):
-            result = entry.run(strategy, experts, suite, dom, options)
-            report.add_result(result, dom.y, extras=extras)
+    runs: dict[str, tuple] = {}  # domain name -> (domain, indices of its strategies)
+    for i, strategy in enumerate(strategies):
+        for dom in STRATEGIES[strategy.kind].domains(suite):
+            runs.setdefault(dom.name, (dom, []))[1].append(i)
+    placed, selections = [], {}
+    for dom, indices in runs.values():
+        cache = ForwardCache(selections)
+        for i in indices:
+            strategy = strategies[i]
+            entry = STRATEGIES[strategy.kind]
+            extras = {"lambda0": strategy.lambda0} if entry.on_tasks else None
+            result = entry.run(strategy, experts, suite, dom, options, cache)
+            placed.append((i, report.add_result(result, dom.y, extras=extras)))
+    report.rows = [row for _, row in sorted(placed, key=lambda pair: pair[0])]
     _ood_average(report, (d.name for d in suite.ood_tests))
     return report
 
@@ -390,7 +406,8 @@ def run_analysis(
 ) -> EvalReport:
     """Four-way split counts, per-split correlations, coefficient histograms,
     and mean-entropy bars (ZS / FT / WA(0.5) / dawin_sample) per domain plus
-    pooled over the whole test population."""
+    pooled over the whole test population. The ZS/FT outputs, WA(0.5) and
+    dawin_sample share one ForwardCache per domain."""
     experts = experts or build_experts(suite, with_tasks=False)
     arch, t0, t1 = experts.arch, experts.theta0, experts.theta1
     report = EvalReport(suite_seed=suite.seed)
@@ -402,8 +419,8 @@ def run_analysis(
     pooled: dict[str, list[np.ndarray]] = {}
     pooled_masks: dict[str, list[np.ndarray]] = {}
     for dom in suite.test_domains:
-        p0 = forward_batch(arch, t0, dom.x)
-        p1 = forward_batch(arch, t1, dom.x)
+        cache = ForwardCache()
+        p0, p1 = cache.probs(arch, t0, dom), cache.probs(arch, t1, dom)
         h0, h1 = entropy(p0), entropy(p1)
         l0 = np.minimum(xentropy(p0, dom.y), XENT_CLIP)
         l1 = np.minimum(xentropy(p1, dom.y), XENT_CLIP)
@@ -427,8 +444,8 @@ def run_analysis(
             # histogram is undefined on this domain, not an error.
             report.histograms[f"{dom.name}/oracle"] = {"counts": None, "n": 0}
 
-        wa = static_eval(arch, t0, t1, 0.5, dom, name="wa_half")
-        dw = dawin_sample_eval(arch, t0, t1, dom, options)
+        wa = static_eval(arch, t0, t1, 0.5, dom, name="wa_half", cache=cache)
+        dw = dawin_sample_eval(arch, t0, t1, dom, options, cache)
         h = {"zs": h0, "ft": h1, "wa_half": entropy(wa.probs), "dawin_sample": entropy(dw.probs)}
         report.entropy_bars[dom.name] = {
             name: _entropy_bars(h, mask) if mask.any() else None
@@ -496,11 +513,13 @@ CLUSTERED_K = 3
 @dataclass
 class CheckContext:
     """One property-suite run's inputs and the work its checks share. Each
-    shared piece is computed on first use, so any check can run alone."""
+    shared piece is computed on first use, so any check can run alone. Every
+    whole-domain forward of the run goes through cache."""
 
     suite: BenchmarkSuite
     experts: ExpertSet
     options: MergeOptions = MergeOptions()
+    cache: ForwardCache = field(default_factory=ForwardCache)
 
     @cached_property
     def outputs(self) -> dict[str, tuple]:
@@ -508,7 +527,7 @@ class CheckContext:
         arch, t0, t1 = self.experts.arch, self.experts.theta0, self.experts.theta1
         out = {}
         for dom in self.suite.test_domains:
-            p0, p1 = forward_batch(arch, t0, dom.x), forward_batch(arch, t1, dom.x)
+            p0, p1 = self.cache.probs(arch, t0, dom), self.cache.probs(arch, t1, dom)
             out[dom.name] = (dom, p0, p1, entropy(p0), entropy(p1))
         return out
 
@@ -519,7 +538,7 @@ class CheckContext:
         params = self.experts.task_params()
         out = []
         for split in self.suite.mtl_tasks if params else ():
-            probs = [forward_batch(self.experts.arch, p, split.test.x) for p in params]
+            probs = [self.cache.probs(self.experts.arch, p, split.test) for p in params]
             out.append((split, probs, np.stack([entropy(p) for p in probs], axis=1)))
         return out
 
@@ -527,7 +546,8 @@ class CheckContext:
     def dawin(self) -> dict[str, StrategyResult]:
         """dawin_sample per test domain at the run's options."""
         e = self.experts
-        return {dom.name: dawin_sample_eval(e.arch, e.theta0, e.theta1, dom, self.options)
+        return {dom.name: dawin_sample_eval(e.arch, e.theta0, e.theta1, dom, self.options,
+                                            self.cache)
                 for dom in self.suite.test_domains}
 
     @cached_property
@@ -664,7 +684,8 @@ def _entropy_valley(ctx: CheckContext) -> list[PropertyCheck]:
     per_domain = []
     for name, (dom, _, _, h0, h1) in ctx.outputs.items():
         h = {"zs": h0, "ft": h1, "dawin": entropy(ctx.dawin[name].probs)}
-        h.update((g, entropy(static_eval(e.arch, e.theta0, e.theta1, g, dom).probs))
+        h.update((g, entropy(static_eval(e.arch, e.theta0, e.theta1, g, dom,
+                                         cache=ctx.cache).probs))
                  for g in DEFAULT_GRID)
         for key, arr in h.items():
             pooled[key].append(arr)
@@ -707,7 +728,7 @@ def _clustered_gap_and_count(ctx: CheckContext) -> list[PropertyCheck]:
     worst, bad = 0.0, 0
     for name, (dom, *_) in ctx.outputs.items():
         clustered = dawin_clustered_eval(e.arch, e.theta0, e.theta1, dom, k=CLUSTERED_K,
-                                         options=ctx.options)
+                                         options=ctx.options, cache=ctx.cache)
         gap = abs(accuracy(clustered, dom.y) - accuracy(ctx.dawin[name], dom.y))
         worst = max(worst, gap)
         bad += gap > 0.01 or clustered.merge_count != CLUSTERED_K
@@ -725,7 +746,8 @@ def _batch_size_sweep(ctx: CheckContext) -> list[PropertyCheck]:
         opts = replace(ctx.options, batch_size=bs)
         averages.append(float(np.mean([
             accuracy(ctx.dawin[dom.name] if opts == ctx.options
-                     else dawin_sample_eval(e.arch, e.theta0, e.theta1, dom, opts), dom.y)
+                     else dawin_sample_eval(e.arch, e.theta0, e.theta1, dom, opts, ctx.cache),
+                     dom.y)
             for dom in ctx.suite.ood_tests
         ])))
     spread = max(averages) - min(averages)
@@ -759,7 +781,7 @@ def _offset_changes_coefficients(ctx: CheckContext) -> list[PropertyCheck]:
     chooses on id_test by more than 1e-6."""
     e, dom = ctx.experts, ctx.suite.id_test
     toggled = replace(ctx.options, offset_adjust=not ctx.options.offset_adjust)
-    other = dawin_sample_eval(e.arch, e.theta0, e.theta1, dom, toggled)
+    other = dawin_sample_eval(e.arch, e.theta0, e.theta1, dom, toggled, ctx.cache)
     delta = float(np.abs(ctx.dawin[dom.name].chosen - other.chosen).max())
     return [_check("offset_changes_coefficients", dom.n_samples, int(not delta > 1e-6), 1e-6,
                    delta > 1e-6, measured=delta)]
@@ -810,11 +832,14 @@ def _mtl_dynamic_vs_static(ctx: CheckContext) -> list[PropertyCheck]:
     params, taus = e.task_params(), e.task_vectors()
     tests = [split.test for split in ctx.suite.mtl_tasks]
     static_theta = combine_task_vectors(e.theta0, 0.3, np.ones(len(params)), taus)
-    acc_static = np.mean([accuracy(model_eval(e.arch, static_theta, d, "task_arith"), d.y)
-                          for d in tests])
-    acc_dyn = np.mean([accuracy(dawin_task_arith_eval(e.arch, e.theta0, params, taus, d,
-                                                      lambda0=0.3, k=1, options=ctx.options), d.y)
-                       for d in tests])
+    acc_static = np.mean([
+        accuracy(model_eval(e.arch, static_theta, d, "task_arith", ctx.cache), d.y) for d in tests
+    ])
+    acc_dyn = np.mean([
+        accuracy(dawin_task_arith_eval(e.arch, e.theta0, params, taus, d, lambda0=0.3, k=1,
+                                       options=ctx.options, cache=ctx.cache), d.y)
+        for d in tests
+    ])
     ok = acc_dyn >= acc_static
     return [_check("mtl_dynamic_vs_static", len(tests), int(not ok), 0.0, ok,
                    measured=acc_dyn - acc_static)]
@@ -823,7 +848,7 @@ def _mtl_dynamic_vs_static(ctx: CheckContext) -> list[PropertyCheck]:
 def _determinism(ctx: CheckContext) -> list[PropertyCheck]:
     """Four bit-identical repeats: the specialist retrained from the
     generalist with its checkpoint's own config, dawin_sample on id_test run
-    again, the specialist through a checkpoint file, and a K = 2 mixture
+    again on a fresh ForwardCache, the specialist through a checkpoint file, and a K = 2 mixture
     through JSON."""
     e, ft, dom = ctx.experts, ctx.experts.finetune, ctx.suite.id_train
     try:

@@ -2,10 +2,12 @@
 
 Every strategy returns a StrategyResult holding the final predictive
 distributions, the coefficient actually applied per sample (when the notion
-applies), the number of distinct parameter merges performed, and wall time.
-Temperatures, when supplied, shape entropy estimation only; final predictions
-always come from unscaled logits. STRATEGIES, at the end, is the one list of
-strategy kinds: how each runs, its knob defaults and its domains.
+applies), the number of distinct parameter merges the strategy uses, and wall
+time. Temperatures, when supplied, shape entropy estimation only; final
+predictions always come from unscaled logits. Every whole-domain forward goes
+through a ForwardCache, so strategies that share one see each model's outputs
+on a domain computed once. STRATEGIES, at the end, is the one list of strategy
+kinds: how each runs, its knob defaults and its domains.
 """
 
 from __future__ import annotations
@@ -138,31 +140,113 @@ def _result(name, domain, probs, start, chosen=None, merge_count=0, extras=None)
     )
 
 
+class _Same:
+    """A key part that compares its object by identity. It holds the object,
+    so the id stays that object's for as long as the key lives."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __hash__(self) -> int:
+        return id(self.obj)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Same) and other.obj is self.obj
+
+
+def _key(part):
+    if isinstance(part, tuple):
+        return tuple(_key(p) for p in part)
+    if isinstance(part, (ParamVector, Domain)):
+        return _Same(part)
+    return part
+
+
+class ForwardCache:
+    """Whole-domain model outputs shared by the strategies of one evaluation
+    scope, and the selections that do not depend on the domain (a sweep
+    winner, a soup), shared by every scope made with the same selections dict.
+
+    An output is keyed by what was run: a model, or the recipe that builds a
+    merge such as ("interp", theta0, theta1, lam); the domain; and the
+    temperature. Models and domains count by identity. A hit runs neither the
+    forward nor the merge, and cached arrays are read-only. Forwards on part
+    of a domain never come from here: a chunk's forward need not give the bits
+    of the same rows of the whole-domain forward.
+    """
+
+    def __init__(self, selections: dict | None = None):
+        self._outputs: dict = {}
+        self._selections = {} if selections is None else selections
+
+    def probs(
+        self,
+        arch: MlpArchitecture,
+        model,
+        domain: Domain,
+        temperature: float = 1.0,
+        build: Callable[[], ParamVector | np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """Probabilities of every row of domain under model, a ParamVector or,
+        with build, a recipe tuple that build() turns into one."""
+        key = (_key(model), _Same(domain), float(temperature))
+        out = self._outputs.get(key)
+        if out is None:
+            out = forward_batch(arch, model if build is None else build(), domain.x, temperature)
+            out.flags.writeable = False
+            self._outputs[key] = out
+        return out
+
+    def selection(self, key: tuple, compute: Callable[[], object]):
+        """compute(), run once per key for every scope sharing the selections."""
+        key = _key(key)
+        if key not in self._selections:
+            self._selections[key] = compute()
+        return self._selections[key]
+
+
+def _interp_probs(cache, arch, theta0, theta1, lam, domain) -> np.ndarray:
+    lam = float(lam)
+    return cache.probs(arch, ("interp", theta0, theta1, lam), domain,
+                       build=lambda: interpolate_pair(theta0, theta1, lam))
+
+
 def _model_probs(
+    cache: ForwardCache,
     arch: MlpArchitecture,
     thetas: Sequence[ParamVector],
-    x: np.ndarray,
+    domain: Domain,
+    rows: np.ndarray | None = None,
     temperatures: tuple[float, ...] | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per-model probabilities at estimation temperature, plus raw (T=1) probs.
+    """Per-model probabilities at estimation temperature, plus raw (T=1) probs,
+    on the given rows of domain (all of it, through cache, when rows is None).
 
     Returns (raw_probs_per_model, entropy_matrix). Entropies honour the
     temperatures; the returned probability matrices do not.
     """
     if temperatures is not None and len(temperatures) != len(thetas):
         raise ValueError("need one temperature per model")
-    raw = [forward_batch(arch, th, x) for th in thetas]
+    if rows is None:
+        forward = lambda theta, t: cache.probs(arch, theta, domain, t)  # noqa: E731
+    else:
+        x = domain.x[rows]
+        forward = lambda theta, t: forward_batch(arch, theta, x, t)  # noqa: E731
+    raw = [forward(th, 1.0) for th in thetas]
     if temperatures is None:
         ents = np.stack([entropy(p) for p in raw], axis=1)
     else:
         ents = np.stack(
-            [
-                entropy(forward_batch(arch, th, x, t))
-                for th, t in zip(thetas, temperatures)
-            ],
-            axis=1,
+            [entropy(forward(th, t)) for th, t in zip(thetas, temperatures)], axis=1
         )
     return raw, ents
+
+
+def _chunk_rows(idx: np.ndarray, options: MergeOptions) -> np.ndarray | None:
+    """idx for a chunk of a streamed domain; None for the whole domain."""
+    return None if options.batch_size is None else idx
 
 
 def _chunks(n: int, batch_size: int | None, min_tail: int):
@@ -209,11 +293,15 @@ def _interpolated_rows(theta0: ParamVector, theta1: ParamVector, lam: np.ndarray
 # ----- plain and static strategies ----------------------------------------------
 
 def model_eval(
-    arch: MlpArchitecture, theta: ParamVector, domain: Domain, name: str
+    arch: MlpArchitecture,
+    theta: ParamVector,
+    domain: Domain,
+    name: str,
+    cache: ForwardCache | None = None,
 ) -> StrategyResult:
     start = time.perf_counter()
-    probs = forward_batch(arch, theta, domain.x)
-    return _result(name, domain, probs, start)
+    cache = cache or ForwardCache()
+    return _result(name, domain, cache.probs(arch, theta, domain), start)
 
 
 def static_eval(
@@ -223,10 +311,11 @@ def static_eval(
     lam: float,
     domain: Domain,
     name: str = "static",
+    cache: ForwardCache | None = None,
 ) -> StrategyResult:
     start = time.perf_counter()
-    merged = interpolate_pair(theta0, theta1, lam)
-    probs = forward_batch(arch, merged, domain.x)
+    cache = cache or ForwardCache()
+    probs = _interp_probs(cache, arch, theta0, theta1, lam, domain)
     return _result(name, domain, probs, start, chosen=np.full(domain.n_samples, float(lam)),
                    merge_count=1, extras={"lam": float(lam)})
 
@@ -243,14 +332,15 @@ def wise_sweep(
     theta1: ParamVector,
     id_val: Domain,
     grid: Sequence[float] = DEFAULT_GRID,
+    cache: ForwardCache | None = None,
 ) -> WiseSweepResult:
     """Accuracy table over the static grid; best row by ID validation accuracy,
     ties broken toward the smaller coefficient."""
+    cache = cache or ForwardCache()
     rows = []
     best_lam, best_acc = None, -1.0
     for lam in grid:
-        merged = interpolate_pair(theta0, theta1, lam)
-        val_probs = forward_batch(arch, merged, id_val.x)
+        val_probs = _interp_probs(cache, arch, theta0, theta1, lam, id_val)
         val_acc = float((val_probs.argmax(axis=1) == id_val.y).mean())
         rows.append({"lam": float(lam), "id_val_acc": val_acc})
         if val_acc > best_acc:
@@ -272,27 +362,31 @@ def greedy_soup(
     arch: MlpArchitecture,
     params: Sequence[ParamVector],
     id_val: Domain,
+    cache: ForwardCache | None = None,
 ) -> tuple[ParamVector, list[int]]:
     """Ingredient order by descending ID validation accuracy; keep an
-    ingredient only if the running average does not lose accuracy."""
+    ingredient only if the running average does not lose accuracy. A
+    candidate soup's recipe is its ingredients in the order they joined."""
     if len(params) < 2:
         raise ValueError("greedy soup needs at least two models")
     base = params[0]
     for other in params[1:]:
         check_compatible(base, other)
+    cache = cache or ForwardCache()
 
-    def val_acc(values: np.ndarray) -> float:
-        probs = forward_batch(arch, values, id_val.x)
+    def val_acc(model, build=None) -> float:
+        probs = cache.probs(arch, model, id_val, build=build)
         return float((probs.argmax(axis=1) == id_val.y).mean())
 
-    solo = [val_acc(p.values) for p in params]
+    solo = [val_acc(p) for p in params]
     order = sorted(range(len(params)), key=lambda i: (-solo[i], i))
     kept = [order[0]]
     current = params[order[0]].values.copy()
     current_acc = solo[order[0]]
     for i in order[1:]:
         candidate = (current * len(kept) + params[i].values) / (len(kept) + 1)
-        candidate_acc = val_acc(candidate)
+        recipe = ("greedy_soup", *(params[j] for j in kept), params[i])
+        candidate_acc = val_acc(recipe, build=lambda: candidate)
         if candidate_acc >= current_acc:
             kept.append(i)
             current = candidate
@@ -308,15 +402,18 @@ def dawin_sample_eval(
     theta1: ParamVector,
     domain: Domain,
     options: MergeOptions = MergeOptions(),
+    cache: ForwardCache | None = None,
 ) -> StrategyResult:
     """Per-sample entropy-ratio interpolation: one merge per test sample."""
     start = time.perf_counter()
+    cache = cache or ForwardCache()
     n = domain.n_samples
     probs = np.empty((n, arch.class_count))
     chosen = np.empty(n)
     merge_count = 0
     for idx in _chunks(n, options.batch_size, min_tail=2):
-        _, ents = _model_probs(arch, [theta0, theta1], domain.x[idx], options.temperatures)
+        _, ents = _model_probs(cache, arch, [theta0, theta1], domain,
+                               _chunk_rows(idx, options), options.temperatures)
         lam = _pair_lambdas(ents[:, 0], ents[:, 1], options)
         chosen[idx] = lam
         probs[idx] = _per_sample_probs(
@@ -334,6 +431,7 @@ def dawin_clustered_eval(
     domain: Domain,
     k: int = 3,
     options: MergeOptions = MergeOptions(),
+    cache: ForwardCache | None = None,
 ) -> StrategyResult:
     """Coefficient compression: fit a K-component Beta mixture to the
     per-sample coefficients, merge once per component at its mean, and route
@@ -346,13 +444,15 @@ def dawin_clustered_eval(
             "every chunk needs that many rows for a K-component fit"
         )
     start = time.perf_counter()
+    cache = cache or ForwardCache()
     n = domain.n_samples
     probs = np.empty((n, arch.class_count))
     chosen = np.empty(n)
     merge_count = 0
     chunk_count = 0
     for idx in _chunks(n, options.batch_size, min_tail=max(k, 2)):
-        _, ents = _model_probs(arch, [theta0, theta1], domain.x[idx], options.temperatures)
+        _, ents = _model_probs(cache, arch, [theta0, theta1], domain,
+                               _chunk_rows(idx, options), options.temperatures)
         lam = _pair_lambdas(ents[:, 0], ents[:, 1], options)
         model = em_fit(lam, k)
         member = np.atleast_1d(infer_membership(model, lam, options.posterior_membership))
@@ -380,6 +480,7 @@ def dawin_task_arith_eval(
     lambda0: float = 0.3,
     k: int | None = 1,
     options: MergeOptions = MergeOptions(),
+    cache: ForwardCache | None = None,
 ) -> StrategyResult:
     """Dynamic task arithmetic: theta_0 + lambda0 * sum_j lambda_j(x) tau_j.
 
@@ -390,9 +491,10 @@ def dawin_task_arith_eval(
     if len(experts) != len(taus) or len(experts) < 2:
         raise ValueError("need matching experts and task vectors, at least two")
     start = time.perf_counter()
+    cache = cache or ForwardCache()
     n = domain.n_samples
     m = len(experts)
-    _, ents = _model_probs(arch, list(experts), domain.x, options.temperatures)
+    _, ents = _model_probs(cache, arch, list(experts), domain, temperatures=options.temperatures)
     rows = coeff_multi(ents)
     chosen = np.empty((n, m))
     merge_count = 0
@@ -425,13 +527,16 @@ def dcs_eval(
     thetas: Sequence[ParamVector],
     domain: Domain,
     options: MergeOptions = MergeOptions(),
+    cache: ForwardCache | None = None,
 ) -> StrategyResult:
     """Dynamic classifier selection: per sample, the lowest-entropy model
     answers alone. Ties go to the lower model index. No parameters are merged."""
     if len(thetas) < 2:
         raise ValueError("need at least two models")
     start = time.perf_counter()
-    raw, ents = _model_probs(arch, list(thetas), domain.x, options.temperatures)
+    cache = cache or ForwardCache()
+    raw, ents = _model_probs(cache, arch, list(thetas), domain,
+                             temperatures=options.temperatures)
     selected = ents.argmin(axis=1)
     stacked = np.stack(raw, axis=1)
     probs = stacked[np.arange(domain.n_samples), selected]
@@ -445,13 +550,16 @@ def doe_eval(
     thetas: Sequence[ParamVector],
     domain: Domain,
     options: MergeOptions = MergeOptions(),
+    cache: ForwardCache | None = None,
 ) -> StrategyResult:
     """Dynamic output ensembling: probability average weighted by the
     entropy-ratio coefficients. Outputs stay on the simplex by convexity."""
     if len(thetas) < 2:
         raise ValueError("need at least two models")
     start = time.perf_counter()
-    raw, ents = _model_probs(arch, list(thetas), domain.x, options.temperatures)
+    cache = cache or ForwardCache()
+    raw, ents = _model_probs(cache, arch, list(thetas), domain,
+                             temperatures=options.temperatures)
     weights = coeff_multi(ents)
     stacked = np.stack(raw, axis=1)  # (n, M, C)
     probs = (weights[:, :, None] * stacked).sum(axis=1)
@@ -465,13 +573,15 @@ def oracle_sample_eval(
     theta0: ParamVector,
     theta1: ParamVector,
     domain: Domain,
+    cache: ForwardCache | None = None,
 ) -> StrategyResult:
     """Hindsight per-sample coefficients from true-label masses."""
     start = time.perf_counter()
+    cache = cache or ForwardCache()
     n = domain.n_samples
     rows = np.arange(n)
-    p0 = forward_batch(arch, theta0, domain.x)
-    p1 = forward_batch(arch, theta1, domain.x)
+    p0 = cache.probs(arch, theta0, domain)
+    p1 = cache.probs(arch, theta1, domain)
     lam = np.asarray(oracle_coeff(p0[rows, domain.y], p1[rows, domain.y]))
     probs = _per_sample_probs(
         arch, domain.x, lambda sl: _interpolated_rows(theta0, theta1, lam[sl])
@@ -485,15 +595,16 @@ def oracle_domain_search(
     theta1: ParamVector,
     domain: Domain,
     grid: Sequence[float] = DEFAULT_GRID,
+    cache: ForwardCache | None = None,
 ) -> StrategyResult:
     """Best static coefficient for this labeled domain, searched on the grid.
     Ties go to the smaller coefficient."""
     start = time.perf_counter()
+    cache = cache or ForwardCache()
     best = None
     table = []
     for lam in grid:
-        merged = interpolate_pair(theta0, theta1, lam)
-        probs = forward_batch(arch, merged, domain.x)
+        probs = _interp_probs(cache, arch, theta0, theta1, lam, domain)
         acc = float((probs.argmax(axis=1) == domain.y).mean())
         table.append({"lam": float(lam), "accuracy": acc})
         if best is None or acc > best[1]:
@@ -512,10 +623,11 @@ def oracle_domain_search(
 class StrategyEntry:
     """How harness.run_main runs one strategy kind.
 
-    run(strategy, experts, suite, domain, options) evaluates the kind on one
-    domain, with experts a harness.ExpertSet. defaults override
-    _KNOB_DEFAULTS for this kind. A task-level kind (on_tasks) needs the task
-    experts, runs on the task test splits, and its report rows record lambda0.
+    run(strategy, experts, suite, domain, options, cache) evaluates the kind
+    on one domain, with experts a harness.ExpertSet and cache the
+    ForwardCache of that domain's scope. defaults override _KNOB_DEFAULTS for
+    this kind. A task-level kind (on_tasks) needs the task experts, runs on
+    the task test splits, and its report rows record lambda0.
     """
 
     run: Callable[..., StrategyResult]
@@ -530,64 +642,81 @@ class StrategyEntry:
 
 # Runners name the strategy functions and never hold them, so each call looks
 # the name up in this module when it runs and a rebinding of it (a tracer's
-# wrapper, say) reaches every kind.
+# wrapper, say) reaches every kind. The sweep winner and the soups do not
+# depend on the domain, so each is a selection: built once per run.
 
 
-def _run_wise_sweep(strategy, experts, suite, domain, options):
+def _run_wise_sweep(strategy, experts, suite, domain, options, cache):
     arch, t0, t1 = experts.arch, experts.theta0, experts.theta1
-    sweep = wise_sweep(arch, t0, t1, suite.id_val, strategy.grid)
-    result = static_eval(arch, t0, t1, sweep.best_lam, domain, name="wise_sweep")
+    sweep = cache.selection(
+        ("wise_sweep", t0, t1, suite.id_val, strategy.grid),
+        lambda: wise_sweep(arch, t0, t1, suite.id_val, strategy.grid, cache),
+    )
+    result = static_eval(arch, t0, t1, sweep.best_lam, domain, name="wise_sweep", cache=cache)
     result.extras["best_lam"] = sweep.best_lam
     return result
 
 
-def _run_greedy_soup(strategy, experts, suite, domain, options):
-    soup, kept = greedy_soup(experts.arch, [experts.theta0, experts.theta1], suite.id_val)
-    result = model_eval(experts.arch, soup, domain, "greedy_soup")
-    result.extras["kept"] = kept
+def _run_uniform_soup(strategy, experts, suite, domain, options, cache):
+    pair = (experts.theta0, experts.theta1)
+    soup = cache.selection(("uniform_soup", *pair), lambda: uniform_soup(list(pair)))
+    return model_eval(experts.arch, soup, domain, "uniform_soup", cache=cache)
+
+
+def _run_greedy_soup(strategy, experts, suite, domain, options, cache):
+    pair = (experts.theta0, experts.theta1)
+    soup, kept = cache.selection(
+        ("greedy_soup", *pair, suite.id_val),
+        lambda: greedy_soup(experts.arch, list(pair), suite.id_val, cache),
+    )
+    result = model_eval(experts.arch, soup, domain, "greedy_soup", cache=cache)
+    result.extras["kept"] = list(kept)
     return result
 
 
-# The lambdas abbreviate the runner arguments: s strategy, e experts, o options.
+# The lambdas abbreviate the runner arguments: s strategy, e experts, o
+# options, c cache.
 STRATEGIES = {
-    "zs": StrategyEntry(lambda s, e, suite, dom, o: model_eval(e.arch, e.theta0, dom, "zs")),
-    "ft": StrategyEntry(lambda s, e, suite, dom, o: model_eval(e.arch, e.theta1, dom, "ft")),
+    "zs": StrategyEntry(
+        lambda s, e, suite, dom, o, c: model_eval(e.arch, e.theta0, dom, "zs", cache=c)
+    ),
+    "ft": StrategyEntry(
+        lambda s, e, suite, dom, o, c: model_eval(e.arch, e.theta1, dom, "ft", cache=c)
+    ),
     "static": StrategyEntry(
-        lambda s, e, suite, dom, o: static_eval(e.arch, e.theta0, e.theta1, s.lam, dom)
+        lambda s, e, suite, dom, o, c: static_eval(e.arch, e.theta0, e.theta1, s.lam, dom, cache=c)
     ),
     "wise_sweep": StrategyEntry(_run_wise_sweep),
-    "uniform_soup": StrategyEntry(
-        lambda s, e, suite, dom, o: model_eval(
-            e.arch, uniform_soup([e.theta0, e.theta1]), dom, "uniform_soup"
-        )
-    ),
+    "uniform_soup": StrategyEntry(_run_uniform_soup),
     "greedy_soup": StrategyEntry(_run_greedy_soup),
     "dawin_sample": StrategyEntry(
-        lambda s, e, suite, dom, o: dawin_sample_eval(e.arch, e.theta0, e.theta1, dom, o)
+        lambda s, e, suite, dom, o, c: dawin_sample_eval(e.arch, e.theta0, e.theta1, dom, o, c)
     ),
     "dawin_clustered": StrategyEntry(
-        lambda s, e, suite, dom, o: dawin_clustered_eval(
-            e.arch, e.theta0, e.theta1, dom, k=s.k, options=o
+        lambda s, e, suite, dom, o, c: dawin_clustered_eval(
+            e.arch, e.theta0, e.theta1, dom, k=s.k, options=o, cache=c
         )
     ),
     "dawin_task_arith": StrategyEntry(
-        lambda s, e, suite, dom, o: dawin_task_arith_eval(
+        lambda s, e, suite, dom, o, c: dawin_task_arith_eval(
             e.arch, e.theta0, e.task_params(), e.task_vectors(), dom,
-            lambda0=s.lambda0, k=s.k, options=o,
+            lambda0=s.lambda0, k=s.k, options=o, cache=c,
         ),
         defaults={"k": 1},
         on_tasks=True,
     ),
     "dcs": StrategyEntry(
-        lambda s, e, suite, dom, o: dcs_eval(e.arch, [e.theta0, e.theta1], dom, o)
+        lambda s, e, suite, dom, o, c: dcs_eval(e.arch, [e.theta0, e.theta1], dom, o, c)
     ),
     "doe": StrategyEntry(
-        lambda s, e, suite, dom, o: doe_eval(e.arch, [e.theta0, e.theta1], dom, o)
+        lambda s, e, suite, dom, o, c: doe_eval(e.arch, [e.theta0, e.theta1], dom, o, c)
     ),
     "oracle_sample": StrategyEntry(
-        lambda s, e, suite, dom, o: oracle_sample_eval(e.arch, e.theta0, e.theta1, dom)
+        lambda s, e, suite, dom, o, c: oracle_sample_eval(e.arch, e.theta0, e.theta1, dom, c)
     ),
     "oracle_domain": StrategyEntry(
-        lambda s, e, suite, dom, o: oracle_domain_search(e.arch, e.theta0, e.theta1, dom, s.grid)
+        lambda s, e, suite, dom, o, c: oracle_domain_search(
+            e.arch, e.theta0, e.theta1, dom, s.grid, c
+        )
     ),
 }

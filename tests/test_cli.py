@@ -166,6 +166,46 @@ def test_coeffs_oracle_needs_labels(cli_env, tmp_path):
     assert code == 2
 
 
+def test_suite_domain_csv_not_utf8_exits_2(cli_env, tmp_path, capsys):
+    suite = tmp_path / "suite"
+    shutil.copytree(cli_env["suite"], suite)
+    csv = suite / "domains" / "id_test.csv"
+    csv.write_bytes(csv.read_bytes() + b"\xff\xfe")
+    capsys.readouterr()
+    code = cli.main(["eval", "--suite", str(suite), "--theta0", str(cli_env["zs"]),
+                     "--theta1", str(cli_env["ft"]), "--strategy", "zs",
+                     "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and str(csv) in err[0] and "UTF-8" in err[0], err
+
+
+_F6 = "f0,f1,f2,f3,f4,f5"
+
+
+@pytest.mark.parametrize("content, fragments", [
+    (b"\x00\xff\xfe\x81binary", ["UTF-8"]),
+    (f"{_F6}\n0,0,0,0,0,0\n0.1,nan,0,0,0,0\n".encode(), ["row 2", "non-finite"]),
+    (f"{_F6}\n0,0,0,0,0,inf\n".encode(), ["row 1", "non-finite"]),
+    (f"{_F6}\n0.1,0.2,0.3\n".encode(), ["row 1", "expected 6 fields, got 3"]),
+    (b"f0,f1,f2\n0.1,0.2,0.3\n0.4,0.5,0.6\n", ["3 features per row", "take 6"]),
+], ids=["binary", "nan", "inf", "short_row", "three_columns"])
+def test_coeffs_bad_feature_only_domain_exits_2(cli_env, tmp_path, capsys, content, fragments):
+    points = tmp_path / "points.csv"
+    points.write_bytes(content)
+    capsys.readouterr()
+    code = cli.main([
+        "coeffs", "--domain", str(points),
+        "--model", str(cli_env["zs"]), "--model", str(cli_env["ft"]),
+        "--out", str(tmp_path / "coeffs.csv"),
+    ])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and str(points) in err[0], err
+    assert all(f in err[0] for f in fragments), err
+    assert not (tmp_path / "coeffs.csv").exists()
+
+
 def test_usage_errors_exit_1(cli_env, tmp_path, capsys):
     assert cli.main(["frobnicate"]) == 1
     assert cli.main(["eval", "--suite", str(cli_env["suite"])]) == 1  # no --out

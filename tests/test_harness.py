@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from dawin import harness, merge
+from dawin import classifier, harness, merge
 from dawin.errors import DataFormatError
 from dawin.harness import (
     EvalReport,
@@ -180,7 +180,8 @@ def test_run_main_finds_strategy_functions_when_it_runs(suite0, experts0, monkey
 
     monkeypatch.setattr(merge, "model_eval", spy)
     run_main(suite0, ["zs", "uniform_soup"], experts=experts0)
-    assert names == ["zs"] * len(suite0.test_domains) + ["uniform_soup"] * len(suite0.test_domains)
+    # run_main evaluates domain by domain
+    assert names == ["zs", "uniform_soup"] * len(suite0.test_domains)
 
 
 def test_run_main_dispatches_every_pair_kind(suite0, experts0):
@@ -203,6 +204,126 @@ def test_run_main_dispatches_every_pair_kind(suite0, experts0):
         assert 0.0 <= row["accuracy"] <= 1.0
         if row["domain"] == suite0.id_test.name:
             assert row["merge_count"] == expect_merges[row["strategy"]], row["strategy"]
+
+
+def _same_extras(a: dict, b: dict) -> bool:
+    return a.keys() == b.keys() and all(
+        np.array_equal(a[k], b[k]) if isinstance(a[k], np.ndarray) else a[k] == b[k] for k in a
+    )
+
+
+@pytest.mark.parametrize(
+    "options",
+    [merge.MergeOptions(), merge.MergeOptions(batch_size=64),
+     merge.MergeOptions(temperatures=(1.5, 0.7))],
+    ids=["whole", "batch64", "temperatures"],
+)
+def test_shared_forwards_change_no_output(suite0, experts0, options, monkeypatch):
+    # Each kind's results inside one run_main, where the strategies on a
+    # domain share a ForwardCache, equal the kind run alone on a cache that
+    # keeps nothing, so that no forward is served from another: not across
+    # kinds, and not a T != 1 or chunk forward from a whole-domain T = 1 one.
+    # Two temperatures fit the ZS/FT pair, not the four task experts.
+    kinds = [k for k in STRATEGIES if options.temperatures is None or not STRATEGIES[k].on_tasks]
+    shared = []
+    for kind in kinds:
+        entry = STRATEGIES[kind]
+
+        def recording(*args, run=entry.run):
+            shared.append(run(*args))
+            return shared[-1]
+
+        monkeypatch.setitem(STRATEGIES, kind, dataclasses.replace(entry, run=recording))
+    report = run_main(suite0, kinds, options, experts=experts0)
+    monkeypatch.undo()
+
+    def keep_nothing(self, arch, model, domain, temperature=1.0, build=None):
+        return classifier.forward_batch(arch, model if build is None else build(), domain.x,
+                                        temperature)
+
+    monkeypatch.setattr(merge.ForwardCache, "probs", keep_nothing)
+    alone, alone_report = [], EvalReport(suite_seed=suite0.seed)
+    for kind in kinds:
+        strategy, entry = MergeStrategy(kind), STRATEGIES[kind]
+        for dom in entry.domains(suite0):
+            result = entry.run(strategy, experts0, suite0, dom, options, merge.ForwardCache())
+            alone.append(result)
+            extras = {"lambda0": strategy.lambda0} if entry.on_tasks else None
+            alone_report.add_result(result, dom.y, extras=extras)
+    assert report_signature(report)["rows"] == report_signature(alone_report)["rows"]
+    shared.sort(key=lambda r: kinds.index(r.strategy))
+    assert len(shared) == len(alone)
+    for a, b in zip(shared, alone):
+        assert (a.strategy, a.domain, a.merge_count) == (b.strategy, b.domain, b.merge_count)
+        assert np.array_equal(a.probs, b.probs) and np.array_equal(a.preds, b.preds)
+        assert a.chosen is None and b.chosen is None or np.array_equal(a.chosen, b.chosen)
+        assert _same_extras(a.extras, b.extras), a.strategy
+
+
+# The kinds of the eval_static benchmark workload, at their defaults.
+STATIC_KINDS = ["zs", "ft", "static", "wise_sweep", "uniform_soup", "greedy_soup", "dcs", "doe",
+                "oracle_domain"]
+
+
+@pytest.fixture
+def forwards(suite0, monkeypatch):
+    """Whole-model forwards (a 1-D theta) per domain name, counted at
+    classifier.logits_batch; the per-sample stacked forwards are not counted."""
+    names = {id(d.x): d.name for d in suite0.domains().values()}
+    counts: dict[str, int] = {}
+    real = classifier.logits_batch
+
+    def spy(arch, theta, x):
+        if np.ndim(getattr(theta, "values", theta)) == 1:
+            name = names.get(id(x), "rows")
+            counts[name] = counts.get(name, 0) + 1
+        return real(arch, theta, x)
+
+    monkeypatch.setattr(classifier, "logits_batch", spy)
+    return counts
+
+
+def test_run_main_runs_each_static_model_once_per_domain(suite0, experts0, forwards):
+    # Without sharing this was 155: the sweep and the greedy soup re-ran on
+    # id_val for every test domain, and zs/ft/dcs/doe each ran ZS and FT.
+    run_main(suite0, STATIC_KINDS, experts=experts0)
+    # id_val: 9 sweep points and 3 greedy-soup forwards, once per run. Per
+    # test domain: ZS, FT, the 9 grid points (static 0.5 and the sweep winner
+    # among them) and the two soups.
+    assert forwards == {"id_val": 12, **{d.name: 13 for d in suite0.test_domains}}
+    assert sum(forwards.values()) == 77
+
+
+def test_pilot_and_analysis_share_forwards_per_domain(suite0, experts0, forwards):
+    run_pilot(suite0, experts0)
+    # 9 sweep points on id_val; per domain ZS, FT and the 9 grid points, which
+    # static_best and oracle_sample share (79 without sharing).
+    assert forwards == {"id_val": 9, **{d.name: 11 for d in suite0.test_domains}}
+    forwards.clear()
+    run_analysis(suite0, experts0)
+    # ZS, FT and WA(0.5) per domain; dawin_sample reuses ZS and FT (25 without).
+    assert forwards == {d.name: 3 for d in suite0.test_domains}
+
+
+def test_chunk_forwards_never_come_from_the_cache(suite0, experts0, forwards):
+    # A chunk's forward differs in the last bits from the same rows of the
+    # whole-domain forward, so it runs even with the whole-domain outputs held.
+    e, dom = experts0, suite0.id_test
+    cache = merge.ForwardCache()
+    for theta in (e.theta0, e.theta1):
+        cache.probs(e.arch, theta, dom)
+    forwards.clear()
+    options = merge.MergeOptions(batch_size=64)
+    merge.dawin_sample_eval(e.arch, e.theta0, e.theta1, dom, options, cache)
+    assert forwards == {"rows": 2 * len(list(merge._chunks(dom.n_samples, 64, min_tail=2)))}
+
+
+def test_cached_outputs_are_read_only(suite0, experts0):
+    cache = merge.ForwardCache()
+    probs = model_eval(experts0.arch, experts0.theta0, suite0.id_test, "zs", cache).probs
+    assert cache.probs(experts0.arch, experts0.theta0, suite0.id_test) is probs
+    with pytest.raises(ValueError):
+        probs[0, 0] = 0.0
 
 
 def test_run_analysis_structure(suite0, experts0):

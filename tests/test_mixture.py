@@ -547,7 +547,8 @@ def test_em_fit_equals_reference_on_seed0_clustered_inputs(suite0, experts0):
     options = merge.MergeOptions()
     for dom in suite0.test_domains:
         _, ents = merge._model_probs(
-            experts0.arch, [experts0.theta0, experts0.theta1], dom.x, options.temperatures
+            merge.ForwardCache(), experts0.arch, [experts0.theta0, experts0.theta1], dom,
+            temperatures=options.temperatures,
         )
         _assert_beta_fit_matches(merge._pair_lambdas(ents[:, 0], ents[:, 1], options), 3)
 
