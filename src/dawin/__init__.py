@@ -8,6 +8,7 @@ the orchestration to evaluate all of it reproducibly.
 from .classifier import (
     MlpArchitecture,
     TrainConfig,
+    blended_forward,
     calibrate_temperature,
     forward_batch,
     logits_batch,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -116,8 +117,8 @@ def unpack(arch: MlpArchitecture, theta: ParamVector | np.ndarray) -> list[tuple
 
 def _unpack_stack(arch: MlpArchitecture, thetas: np.ndarray, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """unpack for an (n, P) stack: W views of shape (n, fan_in, fan_out) and
-    b views of shape (n, 1, fan_out). The stacked forward and the SGD kernel
-    both read their stacks through it."""
+    b views of shape (n, 1, fan_out). The SGD kernel reads its stacks
+    through it."""
     if thetas.shape != (n, arch.param_count):
         raise ValueError(
             f"expected a ({n}, {arch.param_count}) parameter stack for {arch.layout_id}, "
@@ -154,28 +155,62 @@ def _check_inputs(arch: MlpArchitecture, x: np.ndarray) -> np.ndarray:
 
 
 def logits_batch(arch: MlpArchitecture, theta: ParamVector | np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Logits of every row of x.
-
-    theta is one flat parameter vector for all rows, or an (n, P) stack that
-    gives row i of x its own parameters theta[i]. A stack runs each layer as a
-    stacked matmul, one (1, fan_in) @ (fan_in, fan_out) product per row: numpy
-    makes the same BLAS call for each slice as for a one-row forward, so row i
-    is bit-identical to logits_batch(arch, theta[i], x[i : i + 1]).
-    """
+    """Logits of every row of x under one flat parameter vector theta."""
     x = _check_inputs(arch, x)
-    stacked = not isinstance(theta, ParamVector) and np.ndim(theta) == 2
-    if stacked:
-        layers = _unpack_stack(arch, np.asarray(theta, dtype=np.float64), x.shape[0])
-        h = x[:, None, :]
-    else:
-        layers = unpack(arch, theta)
-        h = x
     act, _ = _ACTIVATIONS[arch.activation]
+    layers = unpack(arch, theta)
+    h = x
     for w, b in layers[:-1]:
         h = act(h @ w + b)
     w_out, b_out = layers[-1]
-    logits = h @ w_out + b_out
-    return logits[:, 0, :] if stacked else logits
+    return h @ w_out + b_out
+
+
+def blended_forward(
+    arch: MlpArchitecture,
+    basis: Sequence[ParamVector | np.ndarray],
+    coeffs: np.ndarray,
+    x: np.ndarray,
+) -> np.ndarray:
+    """Class probabilities (T = 1) of each row x[i] under its own blend
+    sum_j coeffs[i, j] * basis[j], without building any blended vector.
+
+    Each layer is affine in its (W, b), so the blend's pre-activation is
+    z = sum_j coeffs[:, j] * (h @ W_j + b_j), summed in basis order; the
+    activation is applied to z, except after the last layer. This holds for
+    layers affine in their parameters only (a bilinear layer such as
+    attention's Q K^T breaks it). A one-hot row gives the bits of
+    forward_batch under that basis model; other rows differ from a forward
+    of the materialised blend in the last bits. A non-finite logit raises
+    ValueError.
+    """
+    x = _check_inputs(arch, x)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    if coeffs.shape != (x.shape[0], len(basis)):
+        raise ValueError(
+            f"expected ({x.shape[0]}, {len(basis)}) coefficients, one row per input and "
+            f"one column per basis model, got {coeffs.shape}"
+        )
+    models = [unpack(arch, theta) for theta in basis]
+    columns = [coeffs[:, j : j + 1] for j in range(len(basis))]
+    act, _ = _ACTIVATIONS[arch.activation]
+    h = x
+    last = len(arch.layer_shapes) - 1
+    for li in range(last + 1):
+        z = None
+        for c, layers in zip(columns, models):
+            w, b = layers[li]
+            term = h @ w
+            term += b
+            term *= c
+            if z is None:
+                z = term
+            else:
+                z += term
+        h = z if li == last else act(z)
+    if not np.all(np.isfinite(h)):
+        raise ValueError("blended logits must be finite")
+    return _softmax(h, out=h)
 
 
 def _softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -192,8 +227,7 @@ def forward_batch(
     x: np.ndarray,
     temperature: float = 1.0,
 ) -> np.ndarray:
-    """Class probabilities, rows on the simplex. Logits are divided by temperature.
-    theta is one parameter vector or an (n, P) stack, as in logits_batch."""
+    """Class probabilities, rows on the simplex. Logits are divided by temperature."""
     temperature = float(temperature)
     if not np.isfinite(temperature) or temperature <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")

@@ -181,8 +181,9 @@ def _load_features(path: str) -> np.ndarray:
 
 
 def _resolve_domain(suite, spec_text: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """Suite domain name, or a CSV path: labeled per the domain schema, or
-    feature-only with header f0,...,f{d-1} (labels come back as None)."""
+    """Suite domain name, or a CSV path: labeled per the domain schema when its
+    header starts with label, else feature-only with header f0,...,f{d-1}
+    (labels come back as None). Each reader's errors name the file."""
     if suite is not None:
         domains = suite.domains()
         if spec_text in domains:
@@ -190,20 +191,25 @@ def _resolve_domain(suite, spec_text: str) -> tuple[np.ndarray, np.ndarray | Non
             return d.x, d.y
     if not os.path.exists(spec_text):
         raise DataFormatError(f"{spec_text!r} is neither a suite domain nor a CSV path")
-    try:
+    with open(spec_text, "rb") as fh:
+        labeled = fh.readline().split(b",", 1)[0].strip() == b"label"
+    if labeled:
         d = load_domain(spec_text)
         return d.x, d.y
-    except DataFormatError:
-        return _load_features(spec_text), None
+    return _load_features(spec_text), None
 
 
 def cmd_coeffs(args, config) -> int:
+    mode = args.mode
+    if mode not in COEFF_MODES:
+        raise ValueError(f"unknown mode {mode!r}; have {', '.join(COEFF_MODES)}")
+    if len(args.model) < 2:
+        raise ValueError("need at least two --model checkpoints")
+    if len(args.model) > 2 and mode != "plain":
+        raise ValueError("more than two models only supports --mode plain")
     suite = load_suite(args.suite) if args.suite else None
     x, y = _resolve_domain(suite, args.domain)
-    mode = args.mode
     checkpoints, archs = zip(*(_load_checkpoint(p) for p in args.model))
-    if len(checkpoints) < 2:
-        raise DawinError("need at least two --model checkpoints")
     arch = archs[0]
     if x.shape[1] != arch.input_dim:
         raise DataFormatError(
@@ -212,8 +218,6 @@ def cmd_coeffs(args, config) -> int:
     probs = [forward_batch(arch, c.payload, x) for c in checkpoints]
     ids = tuple(checkpoint_id(c) for c in checkpoints)
     if len(checkpoints) > 2:
-        if mode != "plain":
-            raise DawinError("more than two models only supports --mode plain")
         rows = coeff_multi(np.stack([entropy(p) for p in probs], axis=1))
         batch = CoefficientBatch(rows, mode="plain", model_ids=ids)
     elif mode == "plain":
@@ -228,7 +232,7 @@ def cmd_coeffs(args, config) -> int:
         rows_idx = np.arange(len(y))
         lam = oracle_coeff(probs[0][rows_idx, y], probs[1][rows_idx, y])
         batch = CoefficientBatch(np.asarray(lam), mode=mode, model_ids=ids)
-    elif mode.startswith("pseudo_label:"):
+    else:  # pseudo_label:<variant>
         variant = mode.split(":", 1)[1]
         p_mid = None
         if variant.startswith("mid_"):
@@ -236,8 +240,6 @@ def cmd_coeffs(args, config) -> int:
             p_mid = forward_batch(arch, merged, x)
         lam = pseudo_label_coeff(variant, probs[0], probs[1], p_mid=p_mid)
         batch = CoefficientBatch(np.asarray(lam), mode=mode, model_ids=ids)
-    else:
-        raise DawinError(f"unknown mode {mode!r}; have {', '.join(COEFF_MODES)}")
     save_coefficients(batch, args.out)
     print(f"{batch.coefficients.shape[0]} coefficients ({mode}) written to {args.out}")
     return 0
@@ -414,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
         offs.add_argument("--no-offset", dest="offset", action="store_false", default=None,
                           help="disable the offset adjustment")
         p.add_argument("--calibrate", action="store_true", default=None,
-                       help="temperature-scale each model on the ID validation split")
+                       help="temperature-scale the --theta0/--theta1 pair on the ID validation "
+                       "split (task experts stay at T=1)")
         p.add_argument("--batch-size", dest="batch_size", type=int,
                        help="streaming batch size for coefficient estimation (default: full)")
         p.add_argument("--posterior-membership", dest="posterior_membership",

@@ -367,6 +367,17 @@ def save_domain(domain: Domain, path: str) -> None:
     atomic_write(path, domain_to_csv(domain))
 
 
+def _bad_field(header: list[str], row: list[str]) -> str:
+    """The column of the first value in row that does not parse: the label
+    as an int, a feature as a float."""
+    for j, value in enumerate(row):
+        try:
+            int(value) if j == 0 else float(value)
+        except ValueError:
+            return header[j]
+    raise AssertionError("every field parses")
+
+
 def load_domain(path: str, name: str | None = None, shift_spec: dict | None = None) -> Domain:
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -397,7 +408,9 @@ def load_domain(path: str, name: str | None = None, shift_spec: dict | None = No
             y[i - 1] = int(row[0])
             x[i - 1] = [float(v) for v in row[1:]]
         except ValueError as exc:
-            raise DataFormatError(f"{path}: row {i}: {exc}") from exc
+            raise DataFormatError(
+                f"{path}: row {i}: field {_bad_field(header, row)!r}: {exc}"
+            ) from exc
         if y[i - 1] < 0:
             raise DataFormatError(f"{path}: row {i}: negative label")
     if not np.all(np.isfinite(x)):

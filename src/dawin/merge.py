@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .classifier import MlpArchitecture, forward_batch
+from .classifier import MlpArchitecture, blended_forward, forward_batch
 from .databench import Domain
 from .expertise import (
     coeff_multi,
@@ -37,16 +37,12 @@ from .params import (
     ParamVector,
     TaskVector,
     check_compatible,
-    combine_task_vector_rows,
     combine_task_vectors,
     interpolate_pair,
+    task_vector_coefficients,
 )
 
 DEFAULT_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
-
-# Rows per stacked forward in the per-sample strategies: each step builds
-# STACK_ROWS merged parameter vectors and runs them in one forward call.
-STACK_ROWS = 16
 
 # Knob defaults of every kind; a kind's STRATEGIES entry may override them.
 _KNOB_DEFAULTS = {"lam": 0.5, "grid": DEFAULT_GRID, "k": 3, "lambda0": 0.3}
@@ -269,25 +265,9 @@ def _pair_lambdas(h0: np.ndarray, h1: np.ndarray, options: MergeOptions) -> np.n
     return np.asarray(lam, dtype=np.float64)
 
 
-def _per_sample_probs(arch: MlpArchitecture, x: np.ndarray, merged_rows) -> np.ndarray:
-    """Probabilities of each row of x under its own merged model.
-
-    merged_rows(rows) returns the (len, P) stack of merged parameter vectors
-    for the rows selected by the slice; STACK_ROWS of them are built and run
-    through one stacked forward at a time.
-    """
-    probs = np.empty((x.shape[0], arch.class_count))
-    for start in range(0, x.shape[0], STACK_ROWS):
-        rows = slice(start, start + STACK_ROWS)
-        probs[rows] = forward_batch(arch, merged_rows(rows), x[rows])
-    return probs
-
-
-def _interpolated_rows(theta0: ParamVector, theta1: ParamVector, lam: np.ndarray) -> np.ndarray:
-    """theta0 * (1 - lam[i]) + theta1 * lam[i] for each i, as an (n, P) stack."""
-    merged = np.multiply(theta0.values, (1.0 - lam)[:, None])
-    merged += np.multiply(theta1.values, lam[:, None])
-    return merged
+def _pair_rows(lam: np.ndarray) -> np.ndarray:
+    """Coefficient rows (1 - lam[i], lam[i]) on the basis (theta0, theta1)."""
+    return np.column_stack([1.0 - lam, lam])
 
 
 # ----- plain and static strategies ----------------------------------------------
@@ -404,7 +384,8 @@ def dawin_sample_eval(
     options: MergeOptions = MergeOptions(),
     cache: ForwardCache | None = None,
 ) -> StrategyResult:
-    """Per-sample entropy-ratio interpolation: one merge per test sample."""
+    """Per-sample entropy-ratio interpolation: one merge per test sample,
+    run as one blended forward per chunk, so no merged vector is built."""
     start = time.perf_counter()
     cache = cache or ForwardCache()
     n = domain.n_samples
@@ -416,9 +397,7 @@ def dawin_sample_eval(
                                _chunk_rows(idx, options), options.temperatures)
         lam = _pair_lambdas(ents[:, 0], ents[:, 1], options)
         chosen[idx] = lam
-        probs[idx] = _per_sample_probs(
-            arch, domain.x[idx], lambda sl: _interpolated_rows(theta0, theta1, lam[sl])
-        )
+        probs[idx] = blended_forward(arch, [theta0, theta1], _pair_rows(lam), domain.x[idx])
         merge_count += len(idx)
     return _result("dawin_sample", domain, probs, start, chosen=chosen, merge_count=merge_count,
                    extras={"offset_adjust": options.offset_adjust})
@@ -484,9 +463,12 @@ def dawin_task_arith_eval(
 ) -> StrategyResult:
     """Dynamic task arithmetic: theta_0 + lambda0 * sum_j lambda_j(x) tau_j.
 
-    Coefficients are the softmax of negative expert entropies. k=None merges
-    per sample; an integer k compresses rows with a K-component Dirichlet
-    mixture and merges once per component.
+    Coefficients are the softmax of negative expert entropies, from the task
+    experts at T=1: options.temperatures belong to the theta0/theta1 pair.
+    k=None merges per sample, as one blended forward on the basis theta_0,
+    tau_1..tau_M with rows (1, lambda0 * lambda_j(x)); an integer k
+    compresses rows with a K-component Dirichlet mixture and merges once per
+    component.
     """
     if len(experts) != len(taus) or len(experts) < 2:
         raise ValueError("need matching experts and task vectors, at least two")
@@ -494,14 +476,13 @@ def dawin_task_arith_eval(
     cache = cache or ForwardCache()
     n = domain.n_samples
     m = len(experts)
-    _, ents = _model_probs(cache, arch, list(experts), domain, temperatures=options.temperatures)
+    _, ents = _model_probs(cache, arch, list(experts), domain)
     rows = coeff_multi(ents)
     chosen = np.empty((n, m))
     merge_count = 0
     if k is None:
-        probs = _per_sample_probs(
-            arch, domain.x, lambda sl: combine_task_vector_rows(theta0, lambda0, rows[sl], taus)
-        )
+        coeffs = task_vector_coefficients(theta0, lambda0, rows, taus)
+        probs = blended_forward(arch, [theta0, *(tau.delta for tau in taus)], coeffs, domain.x)
         merge_count = n
         chosen[:] = rows
     else:
@@ -583,9 +564,7 @@ def oracle_sample_eval(
     p0 = cache.probs(arch, theta0, domain)
     p1 = cache.probs(arch, theta1, domain)
     lam = np.asarray(oracle_coeff(p0[rows, domain.y], p1[rows, domain.y]))
-    probs = _per_sample_probs(
-        arch, domain.x, lambda sl: _interpolated_rows(theta0, theta1, lam[sl])
-    )
+    probs = blended_forward(arch, [theta0, theta1], _pair_rows(lam), domain.x)
     return _result("oracle_sample", domain, probs, start, chosen=lam, merge_count=n)
 
 

@@ -113,16 +113,18 @@ def combine_task_vectors(
                        theta_0.layout_id)
 
 
-def combine_task_vector_rows(
+def task_vector_coefficients(
     theta_0: ParamVector,
     lambda_0: float,
     weights: np.ndarray,
     taus: Sequence[TaskVector],
 ) -> np.ndarray:
-    """One merged vector per row of the (n, M) weights, as an (n, P) stack.
+    """The (n, 1 + M) coefficient rows of the basis theta_0, taus[0..M-1] for
+    the (n, M) task weights: row i is (1, lambda_0 * weights[i, j] ...).
 
-    Row i is theta_0 + sum_j (lambda_0 * weights[i, j]) * taus[j], added in
-    task order: the arithmetic combine_task_vectors does for one row.
+    Raises ValueError for a non-finite lambda_0 or weights that are not
+    finite and non-negative, and IncompatibleModelsError for a task vector
+    whose layout or length does not match theta_0.
     """
     lambda_0 = float(lambda_0)
     if not np.isfinite(lambda_0):
@@ -138,9 +140,27 @@ def combine_task_vector_rows(
                 f"task vector (layout {tau.base_layout!r}, len {len(tau)}) does not "
                 f"match base (layout {theta_0.layout_id!r}, len {len(theta_0)})"
             )
-    acc = np.repeat(theta_0.values[None, :], w.shape[0], axis=0)
-    for j, tau in enumerate(taus):
-        acc += (lambda_0 * w[:, j])[:, None] * tau.delta.values
+    rows = np.empty((w.shape[0], 1 + len(taus)))
+    rows[:, 0] = 1.0
+    np.multiply(lambda_0, w, out=rows[:, 1:])
+    return rows
+
+
+def combine_task_vector_rows(
+    theta_0: ParamVector,
+    lambda_0: float,
+    weights: np.ndarray,
+    taus: Sequence[TaskVector],
+) -> np.ndarray:
+    """One merged vector per row of the (n, M) weights, as an (n, P) stack.
+
+    Row i is theta_0 + sum_j (lambda_0 * weights[i, j]) * taus[j], added in
+    task order: the arithmetic combine_task_vectors does for one row.
+    """
+    rows = task_vector_coefficients(theta_0, lambda_0, weights, taus)
+    acc = np.repeat(theta_0.values[None, :], rows.shape[0], axis=0)
+    for j, tau in enumerate(taus, start=1):
+        acc += rows[:, j : j + 1] * tau.delta.values
     if not np.all(np.isfinite(acc)):
         raise ValueError("parameter values must be finite")
     return acc

@@ -10,6 +10,7 @@ from dawin.classifier import (
     _check_inputs,
     _SgdStack,
     _stack_grad,
+    blended_forward,
     calibrate_temperature,
     forward_batch,
     init_params,
@@ -288,33 +289,83 @@ def test_single_sample_calibration_is_finite():
     assert np.isfinite(t) and t > 0.0
 
 
-@pytest.mark.parametrize("hidden", [(), (12,), (7, 3, 9)])
-@pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
-def test_stacked_logits_match_one_row_forwards(hidden, activation):
-    # n = 37 is not a multiple of the 16-row chunks the merge strategies stack.
+BLEND_GRID = pytest.mark.parametrize("hidden", [(), (12,), (7, 3, 9)])
+BLEND_ACTIVATIONS = pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+
+
+def blend_setup(hidden, activation, m=3, n=37):
+    """An architecture, m basis vectors and n input rows for the blend tests."""
     arch = MlpArchitecture(input_dim=5, hidden_widths=hidden, class_count=4,
                            activation=activation)
     rng = np.random.default_rng(11)
-    n = 37
-    thetas = np.stack([init_params(arch, rng) + 0.3 * rng.normal(size=arch.param_count)
-                       for _ in range(n)])
-    x = rng.normal(size=(n, 5))
-    expected = np.stack([forward_batch(arch, thetas[i], x[i : i + 1])[0] for i in range(n)])
-    assert np.array_equal(forward_batch(arch, thetas, x), expected)
-    logits = logits_batch(arch, thetas, x)
-    assert logits.shape == (n, 4)
-    assert np.array_equal(logits[5], logits_batch(arch, thetas[5], x[5:6])[0])
+    basis = [init_params(arch, rng) + 0.3 * rng.normal(size=arch.param_count)
+             for _ in range(m)]
+    return arch, basis, rng.normal(size=(n, 5)), rng
+
+
+@BLEND_GRID
+@BLEND_ACTIVATIONS
+def test_blended_forward_one_hot_rows_equal_basis_forward(hidden, activation):
+    arch, basis, x, rng = blend_setup(hidden, activation)
+    n, m = x.shape[0], len(basis)
+    for j in range(m):
+        coeffs = np.zeros((n, m))
+        coeffs[:, j] = 1.0
+        assert np.array_equal(blended_forward(arch, basis, coeffs, x),
+                              forward_batch(arch, basis[j], x))
+    # Each row its own basis model.
+    pick = rng.integers(0, m, size=n)
+    full = [forward_batch(arch, theta, x) for theta in basis]
+    expected = np.stack([full[j][i] for i, j in enumerate(pick)])
+    assert np.array_equal(blended_forward(arch, basis, np.eye(m)[pick], x), expected)
+
+
+@BLEND_GRID
+@BLEND_ACTIVATIONS
+def test_blended_forward_matches_one_row_forwards(hidden, activation):
+    # Oracle: materialise each row's blend sum_j c_ij theta_j and run it on
+    # its row alone. Summing layer outputs instead of parameters moves the
+    # last bits only. Convex rows, as the pair strategies use, and
+    # task-arithmetic rows (1, 0.3 w) on a base and two differences.
+    arch, basis, x, rng = blend_setup(hidden, activation)
+    n = x.shape[0]
+    task_basis = [basis[0], basis[1] - basis[0], basis[2] - basis[0]]
+    task_rows = np.column_stack([np.ones(n), 0.3 * rng.dirichlet(np.ones(2), size=n)])
+    for b, coeffs in ((basis, rng.dirichlet(np.ones(3), size=n)), (task_basis, task_rows)):
+        expected = np.empty((n, arch.class_count))
+        for i in range(n):
+            merged = coeffs[i, 0] * b[0]
+            for c, theta in zip(coeffs[i, 1:], b[1:]):
+                merged += c * theta
+            expected[i] = forward_batch(arch, merged, x[i : i + 1])[0]
+        probs = blended_forward(arch, b, coeffs, x)
+        np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-13)
+        assert np.array_equal(probs.argmax(axis=1), expected.argmax(axis=1))
 
 
 def test_stacked_logits_reject_wrong_stack_shape():
+    # logits_batch takes one flat vector per call: a per-row parameter stack
+    # of any shape is rejected; per-row models go through blended_forward.
     rng = np.random.default_rng(12)
     x = rng.normal(size=(6, 4))
     thetas = np.zeros((6, ARCH.param_count))
-    for bad in (thetas[:5], thetas[:, :-1], np.zeros((6, ARCH.param_count + 1))):
+    for bad in (thetas, thetas[:5], thetas[:, :-1], np.zeros((6, ARCH.param_count + 1)),
+                thetas[None]):
         with pytest.raises(ValueError):
             logits_batch(ARCH, bad, x)
-    with pytest.raises(ValueError):
-        logits_batch(ARCH, thetas[None], x)
+    # blended_forward needs one coefficient row per input, one column per model.
+    for bad in (np.ones((5, 2)), np.ones((6, 3)), np.ones(6)):
+        with pytest.raises(ValueError, match="coefficients"):
+            blended_forward(ARCH, [thetas[0], thetas[1]], bad, x)
+
+
+def test_blended_forward_rejects_non_finite_logits():
+    rng = np.random.default_rng(13)
+    basis = [init_params(ARCH, rng) for _ in range(2)]
+    coeffs = np.array([[0.5, 0.5], [1e308, 1e308]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            blended_forward(ARCH, basis, coeffs, rng.normal(size=(2, 4)))
 
 
 # Five jobs whose schedules disagree: batch lengths 8/8 (J0, J1), 8/8/1 (J2,

@@ -12,9 +12,19 @@ import pytest
 
 from conftest import TINY_SPEC
 from dawin import cli, harness
+from dawin.classifier import MlpArchitecture, forward_batch
+from dawin.databench import load_suite
+from dawin.expertise import (
+    coeff_multi,
+    coeff_pair_offset,
+    entropy,
+    load_coefficients,
+    oracle_coeff,
+    pseudo_label_coeff,
+)
 from dawin.harness import load_report, report_signature
 from dawin.mixture import mixture_from_dict
-from dawin.params import checkpoint_id, load_checkpoint
+from dawin.params import checkpoint_id, interpolate_pair, load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +216,82 @@ def test_coeffs_bad_feature_only_domain_exits_2(cli_env, tmp_path, capsys, conte
     assert not (tmp_path / "coeffs.csv").exists()
 
 
+def test_coeffs_labeled_domain_with_a_bad_row_names_row_and_field(cli_env, tmp_path, capsys):
+    # A labeled CSV keeps the labeled reader's message; it does not fall back
+    # to the feature-only reader.
+    bad = tmp_path / "bad.csv"
+    lines = (cli_env["suite"] / "domains" / "id_test.csv").read_text().splitlines()
+    bad.write_text("\n".join(lines + ["x,0,0,0,0,0,0"]) + "\n")
+    capsys.readouterr()
+    code = cli.main([
+        "coeffs", "--domain", str(bad),
+        "--model", str(cli_env["zs"]), "--model", str(cli_env["ft"]),
+        "--out", str(tmp_path / "coeffs.csv"),
+    ])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1, err
+    assert str(bad) in err[0] and f"row {len(lines)}" in err[0] and "'label'" in err[0], err
+    assert "neither" not in err[0]
+
+
+def _coeffs(cli_env, tmp_path, mode, models):
+    out = tmp_path / "coeffs.csv"
+    code = cli.main(["coeffs", "--suite", str(cli_env["suite"]), "--domain", "id_test",
+                     "--mode", mode, *(f"--model={m}" for m in models), "--out", str(out)])
+    return code, out
+
+
+@pytest.fixture(scope="module")
+def id_test_outputs(cli_env):
+    """The tiny suite's id_test, the endpoint checkpoints and their probs."""
+    dom = load_suite(str(cli_env["suite"])).domains()["id_test"]
+    zs, ft = load_checkpoint(cli_env["zs"]), load_checkpoint(cli_env["ft"])
+    arch = MlpArchitecture.from_header(zs.arch)
+    p0, p1 = forward_batch(arch, zs.payload, dom.x), forward_batch(arch, ft.payload, dom.x)
+    return arch, dom, zs, ft, p0, p1
+
+
+@pytest.mark.parametrize("mode", ["offset_adjusted", "oracle", "pseudo_label:mid_hard"])
+def test_coeffs_pair_modes_write_the_library_coefficients(cli_env, id_test_outputs, tmp_path,
+                                                          mode):
+    arch, dom, zs, ft, p0, p1 = id_test_outputs
+    code, out = _coeffs(cli_env, tmp_path, mode, [cli_env["zs"], cli_env["ft"]])
+    assert code == 0
+    if mode == "offset_adjusted":
+        expected, _ = coeff_pair_offset(entropy(p0), entropy(p1))
+    elif mode == "oracle":
+        rows = np.arange(dom.n_samples)
+        expected = oracle_coeff(p0[rows, dom.y], p1[rows, dom.y])
+    else:
+        p_mid = forward_batch(arch, interpolate_pair(zs.payload, ft.payload, 0.5), dom.x)
+        expected = pseudo_label_coeff("mid_hard", p0, p1, p_mid=p_mid)
+    batch = load_coefficients(str(out))
+    assert batch.mode == mode
+    assert np.array_equal(batch.coefficients, expected)
+
+
+def test_coeffs_three_models_plain_rows_and_other_modes_rejected(
+    cli_env, id_test_outputs, task_ckpts, tmp_path, capsys
+):
+    arch, dom, *_, p0, p1 = id_test_outputs
+    models = [cli_env["zs"], cli_env["ft"], task_ckpts[0]]
+    code, out = _coeffs(cli_env, tmp_path, "plain", models)
+    assert code == 0
+    p2 = forward_batch(arch, load_checkpoint(task_ckpts[0]).payload, dom.x)
+    batch = load_coefficients(str(out))
+    assert batch.coefficients.shape == (dom.n_samples, 3)
+    expected = coeff_multi(np.stack([entropy(p) for p in (p0, p1, p2)], axis=1))
+    assert np.array_equal(batch.coefficients, expected)
+    out.unlink()
+    capsys.readouterr()
+    code, out = _coeffs(cli_env, tmp_path, "offset_adjusted", models)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and "--mode plain" in err[0], err
+    assert not out.exists()
+
+
 def test_usage_errors_exit_1(cli_env, tmp_path, capsys):
     assert cli.main(["frobnicate"]) == 1
     assert cli.main(["eval", "--suite", str(cli_env["suite"])]) == 1  # no --out
@@ -356,6 +442,31 @@ def test_eval_task_arith_records_its_k(cli_env, task_ckpts, tmp_path, flags, k):
     report = load_report(out)
     assert [s["k"] for s in report.config["strategies"]] == [k]
     assert len(report.rows) == 2
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_calibrate_leaves_task_experts_at_unit_temperature(cli_env, task_ckpts, tmp_path, count):
+    # --calibrate scales the ZS/FT pair only: the task kind's rows equal an
+    # uncalibrated run's, with two task experts or three.
+    experts = [task_ckpts[i % 2] for i in range(count)]
+    rows = []
+    for flags in ((), ("--calibrate",)):
+        out = tmp_path / f"r{len(rows)}.json"
+        assert cli.main([
+            "eval", "--suite", str(cli_env["suite"]),
+            "--theta0", str(cli_env["zs"]), "--theta1", str(cli_env["ft"]),
+            *(f"--task-expert={p}" for p in experts),
+            "--strategy", "dawin_task_arith", "--strategy", "dawin_sample", *flags,
+            "--out", str(out),
+        ]) == 0
+        report = load_report(out)
+        rows.append(report_signature(report)["rows"])
+    assert len(report.config["options"]["temperatures"]) == 2
+    task_rows = [[r for r in run if r["strategy"] == "dawin_task_arith"] for run in rows]
+    assert len(task_rows[0]) == len(TINY_SPEC.task_angles)
+    assert task_rows[0] == task_rows[1]
+    # The pair's kinds do see the temperatures.
+    assert rows[0] != rows[1]
 
 
 def test_unknown_strategy_exits_1_before_training(cli_env, tmp_path, capsys, monkeypatch):

@@ -267,16 +267,15 @@ STATIC_KINDS = ["zs", "ft", "static", "wise_sweep", "uniform_soup", "greedy_soup
 
 @pytest.fixture
 def forwards(suite0, monkeypatch):
-    """Whole-model forwards (a 1-D theta) per domain name, counted at
-    classifier.logits_batch; the per-sample stacked forwards are not counted."""
+    """Whole-model forwards per domain name, counted at
+    classifier.logits_batch; the per-sample blended forwards do not call it."""
     names = {id(d.x): d.name for d in suite0.domains().values()}
     counts: dict[str, int] = {}
     real = classifier.logits_batch
 
     def spy(arch, theta, x):
-        if np.ndim(getattr(theta, "values", theta)) == 1:
-            name = names.get(id(x), "rows")
-            counts[name] = counts.get(name, 0) + 1
+        name = names.get(id(x), "rows")
+        counts[name] = counts.get(name, 0) + 1
         return real(arch, theta, x)
 
     monkeypatch.setattr(classifier, "logits_batch", spy)

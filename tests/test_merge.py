@@ -7,7 +7,6 @@ from dawin.errors import IncompatibleModelsError
 from dawin.expertise import coeff_multi, coeff_pair_offset, entropy, oracle_coeff
 from dawin.merge import (
     DEFAULT_GRID,
-    STACK_ROWS,
     STRATEGIES,
     MergeOptions,
     MergeStrategy,
@@ -259,11 +258,19 @@ def test_static_half_matches_frozen_reference(suite0, experts0, reference0):
         assert got == pytest.approx(reference0["static_half_accuracy"][dom.name], abs=1e-12)
 
 
-# ----- stacked per-sample forwards against the one-row loops -------------------
+# ----- blended per-sample forwards against the materialising one-row loops ---
+#
+# The per-sample kinds run one blended forward and never build theta(x). These
+# oracles build every sample's merged vector and run it alone. The blend sums
+# per-layer outputs instead of parameters, so probs agree to 1e-13 (the
+# largest gap measured on the seed-0 and seed-3 experts was 7.2e-15); preds,
+# chosen and merge_count stay exact.
+
+BLEND_ATOL = 1e-13
+
 
 def one_row_interpolated_probs(arch, theta0, theta1, x, lam):
-    """Oracle: the per-sample loop the pair strategies ran before stacking,
-    one merged model and one one-row forward per sample."""
+    """Oracle: one merged model and one one-row forward per sample."""
     buf = np.empty_like(theta0.values)
     tmp = np.empty_like(buf)
     probs = np.empty((x.shape[0], arch.class_count))
@@ -276,7 +283,8 @@ def one_row_interpolated_probs(arch, theta0, theta1, x, lam):
 
 
 def one_row_task_arith_probs(arch, theta0, lambda0, rows, taus, x):
-    """Oracle: the k=None loop of dynamic task arithmetic before stacking."""
+    """Oracle: the k=None loop of dynamic task arithmetic, one merged model
+    per sample."""
     probs = np.empty((x.shape[0], arch.class_count))
     for i in range(x.shape[0]):
         merged = theta0.values.copy()
@@ -287,7 +295,7 @@ def one_row_task_arith_probs(arch, theta0, lambda0, rows, taus, x):
 
 
 def assert_same_result(out, probs, chosen, n):
-    assert np.array_equal(out.probs, probs)
+    np.testing.assert_allclose(out.probs, probs, rtol=0, atol=BLEND_ATOL)
     assert np.array_equal(out.preds, probs.argmax(axis=1))
     assert np.array_equal(out.chosen, chosen)
     assert out.merge_count == n
@@ -315,14 +323,14 @@ def check_task_arith(arch, theta0, experts, taus, dom, lambda0=0.3):
 
 
 def test_stacked_pair_strategies_match_one_row_loop():
-    dom = rand_domain(20, n=3 * STACK_ROWS + 5)
+    dom = rand_domain(20, n=53)
     check_pair_strategies(ARCH, T0, T1, dom)
 
 
 def test_stacked_task_arith_matches_one_row_loop():
     experts = [rand_theta(s) for s in (3, 4, 5)]
     taus = [make_task_vector(e, T0) for e in experts]
-    check_task_arith(ARCH, T0, experts, taus, rand_domain(21, n=2 * STACK_ROWS + 7))
+    check_task_arith(ARCH, T0, experts, taus, rand_domain(21, n=39))
 
 
 def test_stacked_strategies_match_one_row_loop_on_seed0_experts(suite0, experts0):

@@ -13,6 +13,17 @@ a sha256:
     knone_chosen  chosen coefficients of the same calls
     suite         run_property_suite with the task experts
 
+and the decision digests, which leave out the probabilities and the values
+derived from them (entropies, correlations, measured gaps), so a change that
+moves probabilities in the last bits but no decision keeps them:
+
+    pilot_rows, main_rows
+                    each row's strategy, domain, accuracy and merge_count
+    analysis_splits the analysis report's split counts and coefficient
+                    histograms (it has no strategy rows)
+    knone_preds     preds of the k=None calls
+    suite_verdicts  each check's name, verdict, samples and violations
+
 Run from the repository root:
 
     python3 tools/output_digests.py --seeds 0 3
@@ -38,16 +49,19 @@ def digest(obj) -> str:
     return full_digest(obj)[:16]
 
 
+def row_decisions(report) -> list:
+    return [[r["strategy"], r["domain"], r["accuracy"], r["merge_count"]] for r in report.rows]
+
+
 def seed_digests(seed: int) -> dict:
     suite = databench.generate(seed, databench.SuiteSpec())
     experts = harness.build_experts(suite, with_tasks=True)
-    out = {
-        "pilot": digest(harness.report_signature(harness.run_pilot(suite, experts))),
-        "main": digest(
-            harness.report_signature(harness.run_main(suite, list(STRATEGIES), experts=experts))
-        ),
-        "analysis": digest(harness.report_signature(harness.run_analysis(suite, experts))),
+    reports = {
+        "pilot": harness.run_pilot(suite, experts),
+        "main": harness.run_main(suite, list(STRATEGIES), experts=experts),
+        "analysis": harness.run_analysis(suite, experts),
     }
+    out = {name: digest(harness.report_signature(r)) for name, r in reports.items()}
     params, taus = experts.task_params(), experts.task_vectors()
     exact = [
         dawin_task_arith_eval(
@@ -59,6 +73,12 @@ def seed_digests(seed: int) -> dict:
     out["knone_chosen"] = digest([r.chosen for r in exact])
     checks = harness.run_property_suite(suite, experts)
     out["suite"] = digest([vars(c) for c in checks])
+    out["pilot_rows"] = digest(row_decisions(reports["pilot"]))
+    out["main_rows"] = digest(row_decisions(reports["main"]))
+    analysis = reports["analysis"]
+    out["analysis_splits"] = digest([analysis.splits, analysis.histograms])
+    out["knone_preds"] = digest([r.preds for r in exact])
+    out["suite_verdicts"] = digest([[c.name, c.passed, c.samples, c.violations] for c in checks])
     return out
 
 
