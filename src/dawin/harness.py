@@ -67,6 +67,7 @@ from .util import atomic_write
 SCHEMA_VERSION = 1
 HISTOGRAM_BINS = 50
 XENT_CLIP = 50.0
+NONDETERMINISTIC_FIELDS = ("wall_ms",)
 
 # Frozen role defaults. The pretrain schedule mildly undertrains the
 # generalist, the finetune schedule is short and hot, and weight decay keeps
@@ -224,7 +225,7 @@ class EvalReport:
         return {
             "schema_version": self.schema_version,
             "suite_seed": self.suite_seed,
-            "nondeterministic_fields": ["wall_ms"],
+            "nondeterministic_fields": list(NONDETERMINISTIC_FIELDS),
             "config": self.config,
             "rows": self.rows,
             "ood_average": self.ood_average,
@@ -255,16 +256,18 @@ def report_from_dict(data: dict) -> EvalReport:
 
 
 def report_signature(report: EvalReport) -> dict:
-    """The report dict with every non-deterministic field stripped."""
+    """The report dict without the keys its nondeterministic_fields names."""
+    data = report.to_dict()
+    drop = set(data["nondeterministic_fields"])
 
     def strip(node):
         if isinstance(node, dict):
-            return {k: strip(v) for k, v in node.items() if k != "wall_ms"}
+            return {k: strip(v) for k, v in node.items() if k not in drop}
         if isinstance(node, list):
             return [strip(v) for v in node]
         return node
 
-    return strip(report.to_dict())
+    return strip(data)
 
 
 def emit_report(report: EvalReport, path: str, format: str = "json") -> None:

@@ -1,13 +1,14 @@
 """Merging, selection, and ensembling strategies over candidate models.
 
-Every strategy returns a StrategyResult holding the final predictive
-distributions, the coefficient actually applied per sample (when the notion
-applies), the number of distinct parameter merges the strategy uses, and wall
-time. Temperatures, when supplied, shape entropy estimation only; final
-predictions always come from unscaled logits. Every whole-domain forward goes
-through a ForwardCache, so strategies that share one see each model's outputs
-on a domain computed once. STRATEGIES, at the end, is the one list of strategy
-kinds: how each runs, its knob defaults and its domains.
+Each strategy picks coefficient rows on a basis of parameter vectors or model
+outputs, and one engine turns rows into a StrategyResult: the predictive
+distributions, the coefficient applied per sample (when the notion applies),
+the number of distinct parameter merges used, and wall time. Temperatures,
+when supplied, shape entropy estimation only; final predictions always come
+from unscaled logits. Every whole-domain forward goes through a ForwardCache,
+so strategies that share one see each model's outputs on a domain computed
+once. STRATEGIES, at the end, is the one list of strategy kinds: how each
+runs, its knob defaults and its domains.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .params import (
     ParamVector,
     TaskVector,
     check_compatible,
-    combine_task_vectors,
-    interpolate_pair,
+    interpolation_row,
+    materialize,
     task_vector_coefficients,
 )
 
@@ -166,11 +167,12 @@ class ForwardCache:
     winner, a soup), shared by every scope made with the same selections dict.
 
     An output is keyed by what was run: a model, or the recipe that builds a
-    merge such as ("interp", theta0, theta1, lam); the domain; and the
-    temperature. Models and domains count by identity. A hit runs neither the
-    forward nor the merge, and cached arrays are read-only. Forwards on part
-    of a domain never come from here: a chunk's forward need not give the bits
-    of the same rows of the whole-domain forward.
+    merge, such as a basis and a constant row ((theta0, theta1), (1 - lam,
+    lam)); the domain; and the temperature. Models and domains count by
+    identity. A hit runs neither the forward nor the merge, and cached arrays
+    are read-only. Forwards on part of a domain never come from here: a
+    chunk's forward need not give the bits of the same rows of the
+    whole-domain forward.
     """
 
     def __init__(self, selections: dict | None = None):
@@ -201,12 +203,6 @@ class ForwardCache:
         if key not in self._selections:
             self._selections[key] = compute()
         return self._selections[key]
-
-
-def _interp_probs(cache, arch, theta0, theta1, lam, domain) -> np.ndarray:
-    lam = float(lam)
-    return cache.probs(arch, ("interp", theta0, theta1, lam), domain,
-                       build=lambda: interpolate_pair(theta0, theta1, lam))
 
 
 def _model_probs(
@@ -240,11 +236,6 @@ def _model_probs(
     return raw, ents
 
 
-def _chunk_rows(idx: np.ndarray, options: MergeOptions) -> np.ndarray | None:
-    """idx for a chunk of a streamed domain; None for the whole domain."""
-    return None if options.batch_size is None else idx
-
-
 def _chunks(n: int, batch_size: int | None, min_tail: int):
     """Index chunks of batch_size rows (all n rows when None). A tail shorter
     than min_tail, too short for the chunk's statistics, joins the chunk
@@ -257,17 +248,69 @@ def _chunks(n: int, batch_size: int | None, min_tail: int):
         yield np.arange(start, stop)
 
 
-def _pair_lambdas(h0: np.ndarray, h1: np.ndarray, options: MergeOptions) -> np.ndarray:
+def _chunk_lambdas(cache, arch, theta0, theta1, domain, idx, options) -> np.ndarray:
+    """Per-sample pair coefficients of the rows idx of domain: from the
+    cached whole-domain outputs when the domain is not streamed, and from a
+    forward of those rows alone when it is."""
+    rows = None if options.batch_size is None else idx
+    _, ents = _model_probs(cache, arch, [theta0, theta1], domain, rows, options.temperatures)
     if options.offset_adjust:
-        lam, _ = coeff_pair_offset(h0, h1)
+        lam, _ = coeff_pair_offset(ents[:, 0], ents[:, 1])
     else:
-        lam = coeff_pair(h0, h1)
+        lam = coeff_pair(ents[:, 0], ents[:, 1])
     return np.asarray(lam, dtype=np.float64)
 
 
 def _pair_rows(lam: np.ndarray) -> np.ndarray:
     """Coefficient rows (1 - lam[i], lam[i]) on the basis (theta0, theta1)."""
     return np.column_stack([1.0 - lam, lam])
+
+
+# ----- evaluation engine --------------------------------------------------------
+# Weight-space rows take one path per shape: a constant row per domain
+# (_row_probs), K rows routed by a membership (_routed_probs), or a row per
+# sample (classifier.blended_forward). Output-space rows: _output_mix.
+
+def _row_probs(cache, arch, basis: tuple, row: tuple, domain) -> np.ndarray:
+    """Probabilities on the whole domain of the vector the constant row
+    materialises on basis."""
+    return cache.probs(arch, (basis, row), domain, build=lambda: materialize(basis, row))
+
+
+def _routed_probs(arch, basis, rows, member, x) -> np.ndarray:
+    """Probabilities of each x[i] under the vector rows[member[i]]
+    materialises on basis. Every row is materialised, members or not."""
+    probs = np.empty((x.shape[0], arch.class_count))
+    for j, row in enumerate(rows):
+        merged = materialize(basis, row)
+        mask = member == j
+        if mask.any():
+            probs[mask] = forward_batch(arch, merged, x[mask])
+    return probs
+
+
+def _output_mix(cache, arch, thetas, domain, options, row_rule):
+    """(rows, probs): row_rule maps the models' (n, M) entropies to one row per
+    sample, and probs[i] = sum_j rows[i, j] * p_j(x_i), at T = 1."""
+    if len(thetas) < 2:
+        raise ValueError("need at least two models")
+    raw, ents = _model_probs(cache or ForwardCache(), arch, list(thetas), domain,
+                             temperatures=options.temperatures)
+    rows = row_rule(ents)
+    stacked = np.stack(raw, axis=1)  # (n, M, C)
+    return rows, (rows[:, :, None] * stacked).sum(axis=1)
+
+
+def _grid_search(cache, arch, theta0, theta1, domain, grid):
+    """Each grid coefficient's accuracy on the labeled domain, the index of the
+    best (ties go to the earlier one) and the best one's probabilities."""
+    accs, best, best_probs = [], 0, None
+    for i, lam in enumerate(grid):
+        probs = _row_probs(cache, arch, (theta0, theta1), interpolation_row(lam), domain)
+        accs.append(float((probs.argmax(axis=1) == domain.y).mean()))
+        if best_probs is None or accs[i] > accs[best]:
+            best, best_probs = i, probs
+    return accs, best, best_probs
 
 
 # ----- plain and static strategies ----------------------------------------------
@@ -295,7 +338,7 @@ def static_eval(
 ) -> StrategyResult:
     start = time.perf_counter()
     cache = cache or ForwardCache()
-    probs = _interp_probs(cache, arch, theta0, theta1, lam, domain)
+    probs = _row_probs(cache, arch, (theta0, theta1), interpolation_row(lam), domain)
     return _result(name, domain, probs, start, chosen=np.full(domain.n_samples, float(lam)),
                    merge_count=1, extras={"lam": float(lam)})
 
@@ -316,16 +359,9 @@ def wise_sweep(
 ) -> WiseSweepResult:
     """Accuracy table over the static grid; best row by ID validation accuracy,
     ties broken toward the smaller coefficient."""
-    cache = cache or ForwardCache()
-    rows = []
-    best_lam, best_acc = None, -1.0
-    for lam in grid:
-        val_probs = _interp_probs(cache, arch, theta0, theta1, lam, id_val)
-        val_acc = float((val_probs.argmax(axis=1) == id_val.y).mean())
-        rows.append({"lam": float(lam), "id_val_acc": val_acc})
-        if val_acc > best_acc:
-            best_acc, best_lam = val_acc, float(lam)
-    return WiseSweepResult(rows=tuple(rows), best_lam=best_lam)
+    accs, best, _ = _grid_search(cache or ForwardCache(), arch, theta0, theta1, id_val, grid)
+    rows = tuple({"lam": float(lam), "id_val_acc": acc} for lam, acc in zip(grid, accs))
+    return WiseSweepResult(rows=rows, best_lam=float(grid[best]))
 
 
 def uniform_soup(params: Sequence[ParamVector]) -> ParamVector:
@@ -393,9 +429,7 @@ def dawin_sample_eval(
     chosen = np.empty(n)
     merge_count = 0
     for idx in _chunks(n, options.batch_size, min_tail=2):
-        _, ents = _model_probs(cache, arch, [theta0, theta1], domain,
-                               _chunk_rows(idx, options), options.temperatures)
-        lam = _pair_lambdas(ents[:, 0], ents[:, 1], options)
+        lam = _chunk_lambdas(cache, arch, theta0, theta1, domain, idx, options)
         chosen[idx] = lam
         probs[idx] = blended_forward(arch, [theta0, theta1], _pair_rows(lam), domain.x[idx])
         merge_count += len(idx)
@@ -430,19 +464,14 @@ def dawin_clustered_eval(
     merge_count = 0
     chunk_count = 0
     for idx in _chunks(n, options.batch_size, min_tail=max(k, 2)):
-        _, ents = _model_probs(cache, arch, [theta0, theta1], domain,
-                               _chunk_rows(idx, options), options.temperatures)
-        lam = _pair_lambdas(ents[:, 0], ents[:, 1], options)
+        lam = _chunk_lambdas(cache, arch, theta0, theta1, domain, idx, options)
         model = em_fit(lam, k)
         member = np.atleast_1d(infer_membership(model, lam, options.posterior_membership))
-        for j, comp in enumerate(model.components):
-            merged = interpolate_pair(theta0, theta1, min(max(comp.mean, 0.0), 1.0))
-            merge_count += 1
-            mask = member == j
-            if mask.any():
-                sel = idx[mask]
-                probs[sel] = forward_batch(arch, merged, domain.x[sel])
-                chosen[sel] = comp.mean
+        means = np.array([comp.mean for comp in model.components])
+        rows = [interpolation_row(min(max(mean, 0.0), 1.0)) for mean in means]
+        probs[idx] = _routed_probs(arch, (theta0, theta1), rows, member, domain.x[idx])
+        chosen[idx] = means[member]
+        merge_count += len(rows)
         chunk_count += 1
     return _result(
         "dawin_clustered", domain, probs, start, chosen=chosen, merge_count=merge_count,
@@ -474,29 +503,20 @@ def dawin_task_arith_eval(
         raise ValueError("need matching experts and task vectors, at least two")
     start = time.perf_counter()
     cache = cache or ForwardCache()
-    n = domain.n_samples
-    m = len(experts)
     _, ents = _model_probs(cache, arch, list(experts), domain)
     rows = coeff_multi(ents)
-    chosen = np.empty((n, m))
-    merge_count = 0
+    basis = [theta0, *(tau.delta for tau in taus)]
     if k is None:
         coeffs = task_vector_coefficients(theta0, lambda0, rows, taus)
-        probs = blended_forward(arch, [theta0, *(tau.delta for tau in taus)], coeffs, domain.x)
-        merge_count = n
-        chosen[:] = rows
+        probs = blended_forward(arch, basis, coeffs, domain.x)
+        chosen, merge_count = rows.copy(), domain.n_samples
     else:
-        probs = np.empty((n, arch.class_count))
         model = dirichlet_em_fit(rows, k)
         member = np.atleast_1d(dirichlet_membership(model, rows, options.posterior_membership))
-        for j, comp in enumerate(model.components):
-            weights = np.asarray(comp.mean)
-            merged = combine_task_vectors(theta0, lambda0, weights, list(taus))
-            merge_count += 1
-            mask = member == j
-            if mask.any():
-                probs[mask] = forward_batch(arch, merged, domain.x[mask])
-                chosen[mask] = weights
+        means = np.array([comp.mean for comp in model.components])
+        coeffs = task_vector_coefficients(theta0, lambda0, means, taus)
+        probs = _routed_probs(arch, basis, coeffs, member, domain.x)
+        chosen, merge_count = means[member], len(means)
     return _result(
         "dawin_task_arith", domain, probs, start, chosen=chosen, merge_count=merge_count,
         extras={"lambda0": float(lambda0), "k": k, "raw_coefficients": rows},
@@ -511,19 +531,13 @@ def dcs_eval(
     cache: ForwardCache | None = None,
 ) -> StrategyResult:
     """Dynamic classifier selection: per sample, the lowest-entropy model
-    answers alone. Ties go to the lower model index. No parameters are merged."""
-    if len(thetas) < 2:
-        raise ValueError("need at least two models")
+    answers alone, a one-hot row. Ties go to the lower model index. No
+    parameters are merged."""
     start = time.perf_counter()
-    cache = cache or ForwardCache()
-    raw, ents = _model_probs(cache, arch, list(thetas), domain,
-                             temperatures=options.temperatures)
-    selected = ents.argmin(axis=1)
-    stacked = np.stack(raw, axis=1)
-    probs = stacked[np.arange(domain.n_samples), selected]
-    counts = np.bincount(selected, minlength=len(thetas))
+    rows, probs = _output_mix(cache, arch, thetas, domain, options,
+                              lambda ents: np.eye(len(thetas))[ents.argmin(axis=1)])
     return _result("dcs", domain, probs, start,
-                   extras={"selected_counts": [int(c) for c in counts]})
+                   extras={"selected_counts": [int(c) for c in rows.sum(axis=0)]})
 
 
 def doe_eval(
@@ -535,15 +549,8 @@ def doe_eval(
 ) -> StrategyResult:
     """Dynamic output ensembling: probability average weighted by the
     entropy-ratio coefficients. Outputs stay on the simplex by convexity."""
-    if len(thetas) < 2:
-        raise ValueError("need at least two models")
     start = time.perf_counter()
-    cache = cache or ForwardCache()
-    raw, ents = _model_probs(cache, arch, list(thetas), domain,
-                             temperatures=options.temperatures)
-    weights = coeff_multi(ents)
-    stacked = np.stack(raw, axis=1)  # (n, M, C)
-    probs = (weights[:, :, None] * stacked).sum(axis=1)
+    weights, probs = _output_mix(cache, arch, thetas, domain, options, coeff_multi)
     return _result("doe", domain, probs, start, chosen=weights)
 
 
@@ -579,16 +586,9 @@ def oracle_domain_search(
     """Best static coefficient for this labeled domain, searched on the grid.
     Ties go to the smaller coefficient."""
     start = time.perf_counter()
-    cache = cache or ForwardCache()
-    best = None
-    table = []
-    for lam in grid:
-        probs = _interp_probs(cache, arch, theta0, theta1, lam, domain)
-        acc = float((probs.argmax(axis=1) == domain.y).mean())
-        table.append({"lam": float(lam), "accuracy": acc})
-        if best is None or acc > best[1]:
-            best = (float(lam), acc, probs)
-    lam_star, _, probs = best
+    accs, best, probs = _grid_search(cache or ForwardCache(), arch, theta0, theta1, domain, grid)
+    lam_star = float(grid[best])
+    table = [{"lam": float(lam), "accuracy": acc} for lam, acc in zip(grid, accs)]
     return _result(
         "oracle_domain", domain, probs, start, chosen=np.full(domain.n_samples, lam_star),
         merge_count=len(table), extras={"best_lam": lam_star, "table": table},

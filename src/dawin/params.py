@@ -83,14 +83,31 @@ def check_compatible(a: ParamVector, b: ParamVector) -> None:
         )
 
 
-def interpolate_pair(theta_0: ParamVector, theta_1: ParamVector, lam: float) -> ParamVector:
-    """(1 - lam) * theta_0 + lam * theta_1, elementwise."""
-    check_compatible(theta_0, theta_1)
+def materialize(basis: Sequence[ParamVector], row: Sequence[float]) -> ParamVector:
+    """sum_j row[j] * basis[j], added in basis order: the one parameter merge.
+    Raises IncompatibleModelsError for basis vectors of different layouts or
+    lengths, and ValueError for a row of the wrong length or a non-finite sum."""
+    if len(row) != len(basis):
+        raise ValueError(f"expected {len(basis)} coefficients, got {len(row)}")
+    for theta in basis[1:]:
+        check_compatible(basis[0], theta)
+    acc = row[0] * basis[0].values
+    for coeff, theta in zip(row[1:], basis[1:]):
+        acc += coeff * theta.values
+    return ParamVector(acc, basis[0].layout_id)
+
+
+def interpolation_row(lam: float) -> tuple[float, float]:
+    """The row (1 - lam, lam) on the basis (theta_0, theta_1)."""
     lam = float(lam)
     if not np.isfinite(lam) or lam < 0.0 or lam > 1.0:
         raise ValueError(f"interpolation coefficient must lie in [0, 1], got {lam}")
-    merged = (1.0 - lam) * theta_0.values + lam * theta_1.values
-    return ParamVector(merged, theta_0.layout_id)
+    return (1.0 - lam, lam)
+
+
+def interpolate_pair(theta_0: ParamVector, theta_1: ParamVector, lam: float) -> ParamVector:
+    """(1 - lam) * theta_0 + lam * theta_1, elementwise."""
+    return materialize((theta_0, theta_1), interpolation_row(lam))
 
 
 def make_task_vector(theta_task: ParamVector, theta_base: ParamVector) -> TaskVector:
@@ -105,12 +122,12 @@ def combine_task_vectors(
     weights: Sequence[float],
     taus: Sequence[TaskVector],
 ) -> ParamVector:
-    """theta_0 + lambda_0 * sum_j weights[j] * taus[j]."""
+    """theta_0 + lambda_0 * sum_j weights[j] * taus[j], added in task order."""
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1:
         raise ValueError(f"expected {len(taus)} weights, got shape {w.shape}")
-    return ParamVector(combine_task_vector_rows(theta_0, lambda_0, w[None, :], taus)[0],
-                       theta_0.layout_id)
+    row = task_vector_coefficients(theta_0, lambda_0, w[None, :], taus)[0]
+    return materialize((theta_0, *(tau.delta for tau in taus)), row)
 
 
 def task_vector_coefficients(
@@ -144,26 +161,6 @@ def task_vector_coefficients(
     rows[:, 0] = 1.0
     np.multiply(lambda_0, w, out=rows[:, 1:])
     return rows
-
-
-def combine_task_vector_rows(
-    theta_0: ParamVector,
-    lambda_0: float,
-    weights: np.ndarray,
-    taus: Sequence[TaskVector],
-) -> np.ndarray:
-    """One merged vector per row of the (n, M) weights, as an (n, P) stack.
-
-    Row i is theta_0 + sum_j (lambda_0 * weights[i, j]) * taus[j], added in
-    task order: the arithmetic combine_task_vectors does for one row.
-    """
-    rows = task_vector_coefficients(theta_0, lambda_0, weights, taus)
-    acc = np.repeat(theta_0.values[None, :], rows.shape[0], axis=0)
-    for j, tau in enumerate(taus, start=1):
-        acc += rows[:, j : j + 1] * tau.delta.values
-    if not np.all(np.isfinite(acc)):
-        raise ValueError("parameter values must be finite")
-    return acc
 
 
 # ----- canonical MLP layout ---------------------------------------------------

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from dawin import databench, harness
+from dawin import databench, harness, merge
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -53,6 +53,17 @@ def experts0(suite0):
 @pytest.fixture(scope="session")
 def pilot0(suite0, experts0):
     return harness.run_pilot(suite0, experts0)
+
+
+@pytest.fixture(scope="session")
+def main0(suite0, experts0):
+    """run_main over every strategy kind on seed 0, at the kinds' defaults."""
+    return harness.run_main(suite0, list(merge.STRATEGIES), experts=experts0)
+
+
+@pytest.fixture(scope="session")
+def analysis0(suite0, experts0):
+    return harness.run_analysis(suite0, experts0)
 
 
 @pytest.fixture(scope="session")

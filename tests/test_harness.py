@@ -56,6 +56,25 @@ def test_seed0_checkpoints_match_golden_ledger(experts0):
     assert got == golden
 
 
+def _decision_sha256(value) -> str:
+    return _sha256(json.dumps(value, sort_keys=True).encode("utf-8"))
+
+
+def _row_decisions(report) -> list:
+    return [[r["strategy"], r["domain"], r["accuracy"], r["merge_count"]] for r in report.rows]
+
+
+def test_seed0_decisions_match_golden_ledger(pilot0, main0, analysis0):
+    with open(os.path.join(DATA_DIR, "golden_seed0.json")) as fh:
+        golden = json.load(fh)["decisions"]
+    got = {
+        "pilot_rows": _decision_sha256(_row_decisions(pilot0)),
+        "main_rows": _decision_sha256(_row_decisions(main0)),
+        "analysis_splits": _decision_sha256([analysis0.splits, analysis0.histograms]),
+    }
+    assert got == {name: golden[name] for name in got}
+
+
 def test_pilot_covers_every_strategy_and_domain(suite0, pilot0):
     domains = {d.name for d in suite0.test_domains}
     assert len(pilot0.rows) == len(PILOT_NAMES) * len(domains)
@@ -105,6 +124,22 @@ def test_report_schema_version_round_trip(pilot0):
     assert data["nondeterministic_fields"] == ["wall_ms"]
     again = report_from_dict(data)
     assert again.schema_version == 1
+
+
+def test_report_signature_strips_every_declared_field(monkeypatch):
+    report = EvalReport(
+        suite_seed=0,
+        config={"lag": 1, "nested": {"lag": 2, "keep": 3}},
+        rows=[{"strategy": "zs", "lag": 4, "wall_ms": 5.0, "extras": {"lag": [6], "k": 3}}],
+    )
+    kept = report_signature(report)
+    assert kept["config"] == report.config and kept["rows"][0]["extras"]["lag"] == [6]
+    assert "wall_ms" not in kept["rows"][0]
+    monkeypatch.setattr(harness, "NONDETERMINISTIC_FIELDS", ("wall_ms", "lag"))
+    sig = report_signature(report)
+    assert sig["nondeterministic_fields"] == ["wall_ms", "lag"]
+    assert sig["config"] == {"nested": {"keep": 3}}
+    assert sig["rows"] == [{"strategy": "zs", "extras": {"k": 3}}]
 
 
 def test_report_missing_schema_version():
@@ -184,9 +219,9 @@ def test_run_main_finds_strategy_functions_when_it_runs(suite0, experts0, monkey
     assert names == ["zs", "uniform_soup"] * len(suite0.test_domains)
 
 
-def test_run_main_dispatches_every_pair_kind(suite0, experts0):
+def test_run_main_dispatches_every_pair_kind(suite0, main0):
     kinds = [k for k in STRATEGIES if k != "dawin_task_arith"]
-    report = run_main(suite0, list(STRATEGIES), experts=experts0)
+    report = main0
     task_rows = [r for r in report.rows if r["strategy"] == "dawin_task_arith"]
     # the multi-task rule runs on the task test splits with K=1: one merge each
     assert [r["domain"] for r in task_rows] == [s.test.name for s in suite0.mtl_tasks]
@@ -325,8 +360,8 @@ def test_cached_outputs_are_read_only(suite0, experts0):
         probs[0, 0] = 0.0
 
 
-def test_run_analysis_structure(suite0, experts0):
-    report = run_analysis(suite0, experts0)
+def test_run_analysis_structure(suite0, analysis0):
+    report = analysis0
     names = [d.name for d in suite0.test_domains]
     for name in names:
         split = report.splits[name]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dawin import merge
 from dawin.classifier import MlpArchitecture, forward_batch, init_params
 from dawin.databench import Domain
 from dawin.errors import IncompatibleModelsError
@@ -23,7 +24,8 @@ from dawin.merge import (
     uniform_soup,
     wise_sweep,
 )
-from dawin.params import ParamVector, make_task_vector
+from dawin.mixture import dirichlet_em_fit, dirichlet_membership, em_fit, infer_membership
+from dawin.params import ParamVector, combine_task_vectors, interpolate_pair, make_task_vector
 
 ARCH = MlpArchitecture(input_dim=5, hidden_widths=(12,), class_count=10)
 
@@ -376,3 +378,119 @@ def test_clustered_rejects_batch_size_below_k():
                              options=MergeOptions(batch_size=2))
     out = dawin_clustered_eval(ARCH, T0, T1, DOM, k=3, options=MergeOptions(batch_size=3))
     assert out.extras["chunks"] == DOM.n_samples // 3
+
+
+# ----- routed and output-mixed kinds against their one-component loops -------
+#
+# The clustered kinds route each sample to one of K materialised rows, and
+# dcs mixes model outputs with one-hot rows. These oracles are the loops the
+# engine replaced: one interpolate_pair or combine_task_vectors per
+# component, then a forward of its member rows; and dcs's direct pick. Every
+# output stays bit-identical.
+
+
+def one_component_loop(arch, merged, member, x):
+    """Oracle: each component's merged model forwarded on its members alone."""
+    probs = np.empty((x.shape[0], arch.class_count))
+    for j, theta in enumerate(merged):
+        mask = member == j
+        if mask.any():
+            probs[mask] = forward_batch(arch, theta, x[mask])
+    return probs
+
+
+@pytest.mark.parametrize("posterior", [False, True])
+@pytest.mark.parametrize("k", [2, 3])
+def test_clustered_matches_one_component_loop(k, posterior):
+    dom = rand_domain(25, n=90)
+    out = dawin_clustered_eval(ARCH, T0, T1, dom, k=k,
+                               options=MergeOptions(posterior_membership=posterior))
+    lam, _ = coeff_pair_offset(entropy(forward_batch(ARCH, T0, dom.x)),
+                               entropy(forward_batch(ARCH, T1, dom.x)))
+    lam = np.asarray(lam, dtype=np.float64)
+    model = em_fit(lam, k)
+    member = np.atleast_1d(infer_membership(model, lam, posterior))
+    means = [comp.mean for comp in model.components]
+    merged = [interpolate_pair(T0, T1, min(max(m, 0.0), 1.0)) for m in means]
+    assert np.array_equal(out.probs, one_component_loop(ARCH, merged, member, dom.x))
+    assert np.array_equal(out.chosen, np.array(means)[member])
+    assert out.merge_count == k
+
+
+@pytest.mark.parametrize("posterior", [False, True])
+@pytest.mark.parametrize("k", [2, 3])
+def test_task_arith_integer_k_matches_one_component_loop(k, posterior):
+    dom = rand_domain(26, n=90)
+    experts = [rand_theta(s) for s in (3, 4, 5)]
+    taus = [make_task_vector(e, T0) for e in experts]
+    out = dawin_task_arith_eval(ARCH, T0, experts, taus, dom, lambda0=0.3, k=k,
+                                options=MergeOptions(posterior_membership=posterior))
+    rows = coeff_multi(np.stack([entropy(forward_batch(ARCH, e, dom.x)) for e in experts], axis=1))
+    model = dirichlet_em_fit(rows, k)
+    member = np.atleast_1d(dirichlet_membership(model, rows, posterior))
+    means = [comp.mean for comp in model.components]
+    merged = [combine_task_vectors(T0, 0.3, w, taus) for w in means]
+    assert np.array_equal(out.probs, one_component_loop(ARCH, merged, member, dom.x))
+    assert np.array_equal(out.chosen, np.array(means)[member])
+    assert out.merge_count == k
+
+
+@pytest.mark.parametrize("temperatures", [None, (1.5, 0.7, 1.1)])
+def test_dcs_equals_the_selected_models_outputs(temperatures):
+    thetas = [T0, T1, rand_theta(3)]
+    out = dcs_eval(ARCH, thetas, DOM, MergeOptions(temperatures=temperatures))
+    stacked = np.stack([forward_batch(ARCH, t, DOM.x) for t in thetas], axis=1)
+    temps = temperatures or (1.0,) * len(thetas)
+    ents = np.stack([entropy(forward_batch(ARCH, t, DOM.x, T)) for t, T in zip(thetas, temps)],
+                    axis=1)
+    assert np.array_equal(out.probs, stacked[np.arange(DOM.n_samples), ents.argmin(axis=1)])
+
+
+def test_materialised_vectors_per_kind(monkeypatch):
+    # Parameter vectors each kind builds on one domain with a fresh cache:
+    # one per constant or clustered row; none for per-sample rows (a blended
+    # forward) or output-space rows.
+    built = []
+    real = merge.materialize
+
+    def spy(basis, row):
+        built.append(row)
+        return real(basis, row)
+
+    monkeypatch.setattr(merge, "materialize", spy)
+    experts = [rand_theta(s) for s in (3, 4, 5)]
+    taus = [make_task_vector(e, T0) for e in experts]
+    fresh = merge.ForwardCache
+    runs = {
+        "zs": lambda: model_eval(ARCH, T0, DOM, "zs", fresh()),
+        "ft": lambda: model_eval(ARCH, T1, DOM, "ft", fresh()),
+        "static": lambda: static_eval(ARCH, T0, T1, 0.5, DOM, cache=fresh()),
+        "dawin_sample": lambda: dawin_sample_eval(ARCH, T0, T1, DOM, cache=fresh()),
+        "dawin_clustered": lambda: dawin_clustered_eval(ARCH, T0, T1, DOM, k=3, cache=fresh()),
+        "dawin_clustered_batch32": lambda: dawin_clustered_eval(
+            ARCH, T0, T1, DOM, k=3, options=MergeOptions(batch_size=32), cache=fresh()),
+        "task_arith_k2": lambda: dawin_task_arith_eval(ARCH, T0, experts, taus, DOM, k=2,
+                                                       cache=fresh()),
+        "task_arith_knone": lambda: dawin_task_arith_eval(ARCH, T0, experts, taus, DOM, k=None,
+                                                          cache=fresh()),
+        "dcs": lambda: dcs_eval(ARCH, [T0, T1], DOM, cache=fresh()),
+        "doe": lambda: doe_eval(ARCH, [T0, T1], DOM, cache=fresh()),
+        "oracle_sample": lambda: oracle_sample_eval(ARCH, T0, T1, DOM, fresh()),
+        "oracle_domain": lambda: oracle_domain_search(ARCH, T0, T1, DOM, cache=fresh()),
+    }
+    counts, results = {}, {}
+    for name, run in runs.items():
+        built.clear()
+        results[name] = run()
+        counts[name] = len(built)
+    # 80 rows in chunks of 32: three chunks, K = 3 rows each
+    assert results["dawin_clustered_batch32"].extras["chunks"] == 3
+    assert counts == {
+        "zs": 0, "ft": 0, "static": 1, "dawin_sample": 0, "dawin_clustered": 3,
+        "dawin_clustered_batch32": 9, "task_arith_k2": 2, "task_arith_knone": 0,
+        "dcs": 0, "doe": 0, "oracle_sample": 0, "oracle_domain": len(DEFAULT_GRID),
+    }
+    # where vectors are built, the merge count is the number built
+    for name in ("static", "dawin_clustered", "dawin_clustered_batch32", "task_arith_k2",
+                 "oracle_domain"):
+        assert results[name].merge_count == counts[name], name

@@ -546,11 +546,9 @@ def test_em_fit_reference_edge_cases():
 def test_em_fit_equals_reference_on_seed0_clustered_inputs(suite0, experts0):
     options = merge.MergeOptions()
     for dom in suite0.test_domains:
-        _, ents = merge._model_probs(
-            merge.ForwardCache(), experts0.arch, [experts0.theta0, experts0.theta1], dom,
-            temperatures=options.temperatures,
-        )
-        _assert_beta_fit_matches(merge._pair_lambdas(ents[:, 0], ents[:, 1], options), 3)
+        lam = merge._chunk_lambdas(merge.ForwardCache(), experts0.arch, experts0.theta0,
+                                   experts0.theta1, dom, np.arange(dom.n_samples), options)
+        _assert_beta_fit_matches(lam, 3)
 
 
 def test_membership_tied_maxima_pick_the_lower_index():

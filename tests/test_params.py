@@ -9,13 +9,14 @@ from dawin.params import (
     ParamVector,
     TaskVector,
     checkpoint_id,
-    combine_task_vector_rows,
     combine_task_vectors,
     interpolate_pair,
     load_checkpoint,
     make_task_vector,
+    materialize,
     mlp_param_count,
     save_checkpoint,
+    task_vector_coefficients,
 )
 
 LAYOUT = "test:flat"
@@ -195,16 +196,19 @@ def _rows_setup():
 
 
 def test_combine_rows_match_one_row_combines():
+    # each coefficient row, materialised on the basis theta0, taus, is the
+    # one-row combine of its weights
     theta0, taus = _rows_setup()
     weights = np.random.default_rng(6).dirichlet(np.ones(3), size=9)
-    stack = combine_task_vector_rows(theta0, 0.3, weights, taus)
-    assert stack.shape == (9, 6)
+    rows = task_vector_coefficients(theta0, 0.3, weights, taus)
+    assert rows.shape == (9, 4)
+    basis = (theta0, *(tau.delta for tau in taus))
     for i in range(9):
         # the one-row arithmetic: theta0 plus (lambda0 * w_j) * tau_j in task order
         expected = theta0.values.copy()
         for w, tau in zip(weights[i], taus):
             expected += 0.3 * w * tau.delta.values
-        assert np.array_equal(stack[i], expected)
+        assert np.array_equal(materialize(basis, rows[i]).values, expected)
         assert np.array_equal(combine_task_vectors(theta0, 0.3, weights[i], taus).values, expected)
 
 
@@ -218,13 +222,15 @@ def test_combine_rows_match_one_row_combines():
 def test_combine_rows_rejects_bad_weights(weights):
     theta0, taus = _rows_setup()
     with pytest.raises(ValueError):
-        combine_task_vector_rows(theta0, 0.3, np.array(weights), taus)
+        task_vector_coefficients(theta0, 0.3, np.array(weights), taus)
 
 
 def test_combine_rows_rejects_non_finite_lambda0():
     theta0, taus = _rows_setup()
     with pytest.raises(ValueError, match="lambda_0"):
-        combine_task_vector_rows(theta0, np.nan, np.full((1, 3), 1 / 3), taus)
+        task_vector_coefficients(theta0, np.nan, np.full((1, 3), 1 / 3), taus)
+    with pytest.raises(ValueError, match="lambda_0"):
+        combine_task_vectors(theta0, np.nan, np.full(3, 1 / 3), taus)
 
 
 def test_combine_rows_rejects_mismatched_layout():
@@ -233,8 +239,13 @@ def test_combine_rows_rejects_mismatched_layout():
     foreign = make_task_vector(other, other)
     short = make_task_vector(pv(np.ones(5)), pv(np.zeros(5)))
     for bad in (foreign, short):
+        mixed = [taus[0], taus[1], bad]
         with pytest.raises(IncompatibleModelsError):
-            combine_task_vector_rows(theta0, 0.3, np.full((2, 3), 1 / 3), [taus[0], taus[1], bad])
+            task_vector_coefficients(theta0, 0.3, np.full((2, 3), 1 / 3), mixed)
+        with pytest.raises(IncompatibleModelsError):
+            combine_task_vectors(theta0, 0.3, np.full(3, 1 / 3), mixed)
+        with pytest.raises(IncompatibleModelsError):
+            materialize((theta0, bad.delta), (1.0, 0.3))
 
 
 def test_combine_rows_rejects_non_finite_result():
@@ -242,6 +253,12 @@ def test_combine_rows_rejects_non_finite_result():
     tau = make_task_vector(pv([1e308, 0.0]), pv([0.0, 0.0]))
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="finite"):
-            combine_task_vector_rows(theta0, 1.0, np.array([[1.0]]), [tau])
+            materialize((theta0, tau.delta), (1.0, 1.0))
         with pytest.raises(ValueError, match="finite"):
             combine_task_vectors(theta0, 1.0, [1.0], [tau])
+
+
+def test_materialize_needs_one_coefficient_per_basis_vector():
+    theta0, taus = _rows_setup()
+    with pytest.raises(ValueError, match="expected 2 coefficients"):
+        materialize((theta0, taus[0].delta), (1.0, 0.5, 0.5))
