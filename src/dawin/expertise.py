@@ -137,14 +137,18 @@ def oracle_coeff(p0_y: np.ndarray | float, p1_y: np.ndarray | float) -> np.ndarr
     """Hindsight coefficient from true-label masses: p1_y / (p0_y + p1_y).
 
     Equals exp(-l1) / (exp(-l0) + exp(-l1)) for the label cross-entropies.
+    Masses are clipped to PROB_EPS, except where both lie below it: clipping
+    would give 0.5 there, so those rows take the unclipped ratio.
     """
     p0 = np.asarray(p0_y, dtype=np.float64)
     p1 = np.asarray(p1_y, dtype=np.float64)
-    if np.any((p0 < PROB_EPS) & (p1 < PROB_EPS)):
-        raise UndefinedOracleError("both true-label masses vanish for some sample")
-    p0 = np.clip(p0, PROB_EPS, 1.0)
-    p1 = np.clip(p1, PROB_EPS, 1.0)
-    out = p1 / (p0 + p1)
+    if np.any((p0 == 0.0) & (p1 == 0.0)):
+        raise UndefinedOracleError("both true-label masses are zero for some sample")
+    both_tiny = (p0 < PROB_EPS) & (p1 < PROB_EPS)
+    c0, c1 = np.clip(p0, PROB_EPS, 1.0), np.clip(p1, PROB_EPS, 1.0)
+    out = c1 / (c0 + c1)
+    if np.any(both_tiny):
+        out = np.where(both_tiny, p1 / (p0 + p1), out)
     return float(out) if np.ndim(out) == 0 else out
 
 

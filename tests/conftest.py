@@ -2,12 +2,14 @@
 (a few seconds), so they are built once per session and shared read-only."""
 import json
 import os
+import sys
 
 import pytest
 
 from dawin import databench, harness, merge
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))  # freeze_reference
 
 # Verdict lines recorded by the acceptance tests; echoed after the run so the
 # per-criterion ledger survives output capture.
@@ -80,4 +82,10 @@ def tiny_suite():
 @pytest.fixture(scope="session")
 def reference0():
     with open(os.path.join(DATA_DIR, "reference_seed0.json")) as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="session")
+def golden0():
+    with open(os.path.join(DATA_DIR, "golden_seed0.json")) as fh:
         return json.load(fh)

@@ -15,7 +15,9 @@ from dawin import cli, harness
 from dawin.classifier import MlpArchitecture, forward_batch
 from dawin.databench import load_suite
 from dawin.expertise import (
+    COEFF_MODES,
     coeff_multi,
+    coeff_pair,
     coeff_pair_offset,
     entropy,
     load_coefficients,
@@ -252,20 +254,22 @@ def id_test_outputs(cli_env):
     return arch, dom, zs, ft, p0, p1
 
 
-@pytest.mark.parametrize("mode", ["offset_adjusted", "oracle", "pseudo_label:mid_hard"])
+@pytest.mark.parametrize("mode", COEFF_MODES)
 def test_coeffs_pair_modes_write_the_library_coefficients(cli_env, id_test_outputs, tmp_path,
                                                           mode):
     arch, dom, zs, ft, p0, p1 = id_test_outputs
     code, out = _coeffs(cli_env, tmp_path, mode, [cli_env["zs"], cli_env["ft"]])
     assert code == 0
-    if mode == "offset_adjusted":
+    if mode == "plain":
+        expected = coeff_pair(entropy(p0), entropy(p1))
+    elif mode == "offset_adjusted":
         expected, _ = coeff_pair_offset(entropy(p0), entropy(p1))
     elif mode == "oracle":
         rows = np.arange(dom.n_samples)
         expected = oracle_coeff(p0[rows, dom.y], p1[rows, dom.y])
     else:
         p_mid = forward_batch(arch, interpolate_pair(zs.payload, ft.payload, 0.5), dom.x)
-        expected = pseudo_label_coeff("mid_hard", p0, p1, p_mid=p_mid)
+        expected = pseudo_label_coeff(mode.split(":", 1)[1], p0, p1, p_mid=p_mid)
     batch = load_coefficients(str(out))
     assert batch.mode == mode
     assert np.array_equal(batch.coefficients, expected)

@@ -149,6 +149,8 @@ def test_offset_matches_two_pass_oracle():
 def test_oracle_coeff_closed_forms():
     assert oracle_coeff(0.2, 0.8) == 0.8
     assert oracle_coeff(0.37, 0.37) == 0.5
+    # An overconfident, wrong pair: both masses under PROB_EPS still give the ratio, not 0.5.
+    assert oracle_coeff(1e-14, 3e-14) == 0.75 and oracle_coeff(0.0, 1e-13) == 1.0
 
 
 def test_oracle_coeff_equals_xentropy_coeff_pair():
@@ -162,7 +164,7 @@ def test_oracle_coeff_equals_xentropy_coeff_pair():
 
 def test_oracle_coeff_undefined_when_both_masses_vanish():
     with pytest.raises(UndefinedOracleError):
-        oracle_coeff(np.array([0.5, 0.0]), np.array([0.5, 1e-13]))
+        oracle_coeff(np.array([0.5, 0.0]), np.array([0.5, 0.0]))
 
 
 def test_pseudo_label_symmetry():

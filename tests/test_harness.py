@@ -1,7 +1,4 @@
 import dataclasses
-import hashlib
-import json
-import os
 
 import numpy as np
 import pytest
@@ -28,51 +25,18 @@ from dawin.merge import (
     model_eval,
 )
 
-from conftest import DATA_DIR
+import freeze_reference
 
 PILOT_NAMES = {"zs", "ft", "static_best", "oracle_domain", "oracle_sample"}
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def test_seed0_checkpoints_match_golden_ledger(experts0, golden0):
+    assert freeze_reference.checkpoint_hashes(experts0) == golden0["checkpoints"]
 
 
-def test_seed0_checkpoints_match_golden_ledger(experts0):
-    with open(os.path.join(DATA_DIR, "golden_seed0.json")) as fh:
-        golden = json.load(fh)["checkpoints"]
-    roles = {"pretrain": experts0.pretrain, "finetune": experts0.finetune}
-    roles.update((f"task{j}", c) for j, c in enumerate(experts0.task_experts))
-    got = {
-        role: {
-            "payload_sha256": _sha256(
-                np.ascontiguousarray(c.payload.values, dtype="<f8").tobytes()
-            ),
-            "meta_sha256": _sha256(
-                json.dumps(c.meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-            ),
-        }
-        for role, c in roles.items()
-    }
-    assert got == golden
-
-
-def _decision_sha256(value) -> str:
-    return _sha256(json.dumps(value, sort_keys=True).encode("utf-8"))
-
-
-def _row_decisions(report) -> list:
-    return [[r["strategy"], r["domain"], r["accuracy"], r["merge_count"]] for r in report.rows]
-
-
-def test_seed0_decisions_match_golden_ledger(pilot0, main0, analysis0):
-    with open(os.path.join(DATA_DIR, "golden_seed0.json")) as fh:
-        golden = json.load(fh)["decisions"]
-    got = {
-        "pilot_rows": _decision_sha256(_row_decisions(pilot0)),
-        "main_rows": _decision_sha256(_row_decisions(main0)),
-        "analysis_splits": _decision_sha256([analysis0.splits, analysis0.histograms]),
-    }
-    assert got == {name: golden[name] for name in got}
+def test_seed0_decisions_match_golden_ledger(pilot0, main0, analysis0, golden0):
+    got = freeze_reference.decision_hashes(pilot0, main0, analysis0)
+    assert got == {name: golden0["decisions"][name] for name in got}
 
 
 def test_pilot_covers_every_strategy_and_domain(suite0, pilot0):
@@ -91,12 +55,8 @@ def test_pilot_endpoint_rows_match_direct_eval(suite0, experts0, pilot0):
     assert by_key[("ft", dom.name)] == (ft.preds == dom.y).mean()
 
 
-def test_pilot_matches_frozen_reference(pilot0, reference0):
-    got = {(r["strategy"], r["domain"]): r["accuracy"] for r in pilot0.rows}
-    want = {(r["strategy"], r["domain"]): r["accuracy"] for r in reference0["pilot_rows"]}
-    assert got == want
-    assert pilot0.config["best_static_lam"] == reference0["best_static_lam"]
-    assert pilot0.ood_average == reference0["pilot_ood_average"]
+def test_pilot_matches_frozen_reference(suite0, experts0, pilot0, reference0):
+    assert freeze_reference.reference(suite0, experts0, pilot0) == reference0
 
 
 def test_report_json_round_trip(pilot0, tmp_path):

@@ -253,13 +253,6 @@ def test_benchmark_lambda_distribution_is_nondegenerate(suite0, experts0):
     assert float(out.chosen.std()) > 0.01
 
 
-def test_static_half_matches_frozen_reference(suite0, experts0, reference0):
-    for dom in suite0.test_domains:
-        out = static_eval(experts0.arch, experts0.theta0, experts0.theta1, 0.5, dom)
-        got = (out.preds == dom.y).mean()
-        assert got == pytest.approx(reference0["static_half_accuracy"][dom.name], abs=1e-12)
-
-
 # ----- blended per-sample forwards against the materialising one-row loops ---
 #
 # The per-sample kinds run one blended forward and never build theta(x). These

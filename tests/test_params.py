@@ -153,9 +153,11 @@ def test_truncated_payload_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(small_checkpoint(), path)
     blob = path.read_bytes()
-    path.write_bytes(blob[:-8])
-    with pytest.raises(CheckpointFormatError):
-        load_checkpoint(path)
+    for length in range(len(blob)):
+        path.write_bytes(blob[:length])
+        with pytest.raises(CheckpointFormatError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value).startswith(f"{path}: "), length
 
 
 def test_header_payload_inconsistency_rejected(tmp_path):
