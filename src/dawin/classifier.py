@@ -159,11 +159,13 @@ def logits_batch(arch: MlpArchitecture, theta: ParamVector | np.ndarray, x: np.n
     x = _check_inputs(arch, x)
     act, _ = _ACTIVATIONS[arch.activation]
     layers = unpack(arch, theta)
+    last = len(layers) - 1
     h = x
-    for w, b in layers[:-1]:
-        h = act(h @ w + b)
-    w_out, b_out = layers[-1]
-    return h @ w_out + b_out
+    for li, (w, b) in enumerate(layers):
+        z = h @ w
+        z += b
+        h = z if li == last else act(z)
+    return h
 
 
 def blended_forward(
@@ -214,8 +216,15 @@ def blended_forward(
 
 
 def _softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax over the last axis, each row on its own; out may be z itself."""
-    out = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    """Softmax over the last axis, each row on its own; out may be z itself.
+    A 2-D block takes its row maxima from a C-contiguous copy of z.T, which
+    reduces faster: a max is exact in any order, up to the sign of a zero
+    max, which exp(z - m) ignores."""
+    if z.ndim == 2:
+        m = np.ascontiguousarray(z.T).max(axis=0)[:, None]
+    else:
+        m = z.max(axis=-1, keepdims=True)
+    out = np.subtract(z, m, out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
@@ -231,7 +240,10 @@ def forward_batch(
     temperature = float(temperature)
     if not np.isfinite(temperature) or temperature <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    return _softmax(logits_batch(arch, theta, x) / temperature)
+    z = logits_batch(arch, theta, x)
+    if temperature != 1.0:  # x / 1.0 == x exactly, so T = 1 skips the pass
+        z /= temperature
+    return _softmax(z, out=z)
 
 
 @dataclass(frozen=True)

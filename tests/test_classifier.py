@@ -9,6 +9,7 @@ from dawin.classifier import (
     TrainJob,
     _check_inputs,
     _SgdStack,
+    _softmax,
     _stack_grad,
     blended_forward,
     calibrate_temperature,
@@ -366,6 +367,101 @@ def test_blended_forward_rejects_non_finite_logits():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="finite"):
             blended_forward(ARCH, basis, coeffs, rng.normal(size=(2, 4)))
+
+
+# ----- the allocating forward the in-place one replaced, kept as its oracle -----
+# Copied verbatim from the forward it replaced (names prefixed _ref), on the
+# oracle's activation table above: a fresh array per layer and per bias add,
+# a divide by the temperature even at T = 1, and each row's max reduced along
+# the row for every input shape.
+
+
+def _ref_logits_batch(arch: MlpArchitecture, theta: ParamVector | np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Logits of every row of x under one flat parameter vector theta."""
+    x = _check_inputs(arch, x)
+    act, _ = _REF_ACTIVATIONS[arch.activation]
+    layers = unpack(arch, theta)
+    h = x
+    for w, b in layers[:-1]:
+        h = act(h @ w + b)
+    w_out, b_out = layers[-1]
+    return h @ w_out + b_out
+
+
+def _ref_stack_softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, each row on its own; out may be z itself."""
+    out = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _ref_forward_batch(
+    arch: MlpArchitecture,
+    theta: ParamVector | np.ndarray,
+    x: np.ndarray,
+    temperature: float = 1.0,
+) -> np.ndarray:
+    """Class probabilities, rows on the simplex. Logits are divided by temperature."""
+    temperature = float(temperature)
+    if not np.isfinite(temperature) or temperature <= 0.0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    return _ref_stack_softmax(_ref_logits_batch(arch, theta, x) / temperature)
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _oracle_models(arch: MlpArchitecture, rng: np.random.Generator) -> list[np.ndarray]:
+    """An ordinary model; an all-zero one (every logit tied at 0); one whose
+    output weights are zero and whose output biases tie pairs of classes,
+    -0.0 beside +0.0 among them; and one whose logits sit near +-1e3."""
+    classes = arch.class_count
+    ordinary = init_params(arch, rng) + 0.3 * rng.normal(size=arch.param_count)
+    tied = ordinary.copy()
+    tied[-classes * (arch.layer_shapes[-1][0] + 1) :] = 0.0
+    tied[-classes:] = np.resize([2.0, 2.0, -0.0, 0.0, -1.0], classes)
+    large = ordinary.copy()
+    large[-classes:] += np.resize([1e3, -1e3, 1e3 - 1.0], classes)
+    return [ordinary, np.zeros(arch.param_count), tied, large]
+
+
+@BLEND_GRID
+@BLEND_ACTIVATIONS
+def test_forward_equals_allocating_oracle_bit_for_bit(hidden, activation):
+    arch = MlpArchitecture(input_dim=5, hidden_widths=hidden, class_count=10,
+                           activation=activation)
+    rng = np.random.default_rng(21)
+    x_all = rng.normal(size=(2000, 5))
+    for theta in _oracle_models(arch, rng):
+        for n in (1, 2, 17, 2000):
+            x = x_all[:n]
+            _assert_same_bits(logits_batch(arch, theta, x), _ref_logits_batch(arch, theta, x))
+            for temperature in (1.0, 0.5, 3.0):
+                _assert_same_bits(forward_batch(arch, theta, x, temperature),
+                                  _ref_forward_batch(arch, theta, x, temperature))
+
+
+def test_softmax_equals_row_max_oracle_on_every_shape():
+    # A vector, a 2-D block (also in Fortran order and as a strided view)
+    # and a 3-D (k, n, C) stack like the SGD kernel's; rows tied at +0, at
+    # -0 and at 1e3, and rows mixing -0.0 and +0.0 as their max.
+    rng = np.random.default_rng(22)
+    block = 40.0 * rng.normal(size=(17, 10))
+    block[1] = 0.0
+    block[2] = -0.0
+    block[3] = np.resize([-0.0, 0.0, -1.0], 10)
+    block[4] = np.resize([0.0, -0.0, -3.0], 10)
+    block[5] = np.resize([1e3, -1e3, 1e3], 10)
+    stack = np.stack([block, -block[::-1], 1e3 + block])
+    for z in (block[5], block[0], block, np.asfortranarray(block), block[:, ::2], stack):
+        _assert_same_bits(_softmax(z), _ref_stack_softmax(z))
+        buffer, ref_buffer = np.array(z), np.array(z)
+        assert _softmax(buffer, out=buffer) is buffer
+        _assert_same_bits(buffer, _ref_stack_softmax(ref_buffer, out=ref_buffer))
 
 
 # Five jobs whose schedules disagree: batch lengths 8/8 (J0, J1), 8/8/1 (J2,
