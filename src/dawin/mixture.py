@@ -23,11 +23,15 @@ place the point-mass and diffuse fallbacks live. The Dirichlet variant works
 on simplex rows: its K-means init runs on the last coordinate and the
 component precision comes from the first coordinate's variance.
 
-The E-step works on a component-major (K, n) log-joint: the logs of the
-clipped values are taken once per fit, each iteration fills all K rows in one
-broadcast, and _logsumexp_components reduces the rows with scipy's own
-algorithm, so fits match a column-by-column scipy.special.logsumexp bit for
-bit.
+The E-step works on a component-major (K, n) log-joint that, with its
+scratch and mask buffers, is allocated once per fit: each iteration fills the
+K rows with per-row scalar ops from logs taken once per fit, and
+_logsumexp_components reduces them with scipy's own algorithm, so fits match
+a column-by-column scipy.special.logsumexp bit for bit. Lanes whose exp is
+exactly +0.0 (below EXP_ZERO_BELOW, and the maxima scipy leaves out of the
+sum) are zeroed around np.exp, whose underflow path costs several times a
+normal lane. The M-step takes all K components' moments as row sums of the
+responsibility block.
 """
 
 from __future__ import annotations
@@ -51,6 +55,9 @@ PI_FLOOR = 1e-12
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 200
 MIXTURE_SCHEMA_VERSION = 1
+# np.exp(x) is exactly +0.0 below ln 2^-1075 ~ -745.1332, where the result
+# rounds to zero; the bound sits below that with a margin.
+EXP_ZERO_BELOW = -746.0
 
 
 def kmeans_1d(values: np.ndarray, k: int) -> np.ndarray:
@@ -99,26 +106,31 @@ def _concentration(mean: float, var: float) -> float:
     return conc
 
 
-def _beta_mom(values: np.ndarray, resp: np.ndarray) -> tuple[float, float]:
-    """Method-of-moments Beta shapes from responsibility-weighted moments."""
-    total = resp.sum()
-    if total <= 0.0:
-        raise ValueError("zero effective weight")
-    mean = float((resp * values).sum() / total)
-    var = float((resp * (values - mean) ** 2).sum() / total)
-    conc = _concentration(mean, var)
-    return conc * mean + SHAPE_EPS, conc * (1.0 - mean) + SHAPE_EPS
+def _weighted_var(x, mean, resp, mass, work) -> np.ndarray:
+    """sum_i resp[k, i] (x_i - mean[k])^2 / mass[k] for every row k of a
+    (K, n) responsibility block; work is a (K, n) scratch."""
+    for row, m in zip(work, mean):
+        np.subtract(x, m, out=row)
+    np.square(work, out=work)
+    work *= resp
+    return work.sum(axis=1) / mass
 
 
-def _dirichlet_mom(rows: np.ndarray, resp: np.ndarray) -> np.ndarray:
-    """Method-of-moments Dirichlet alpha; the precision comes from the first
-    coordinate's variance."""
-    total = resp.sum()
-    if total <= 0.0:
-        raise ValueError("zero effective weight")
-    mean = (resp[:, None] * rows).sum(axis=0) / total
-    var1 = float((resp * (rows[:, 0] - mean[0]) ** 2).sum() / total)
-    return _concentration(mean[0], var1) * mean + SHAPE_EPS
+def _beta_mom(values, resp, mass, work) -> list[tuple[float, float]]:
+    """Method-of-moments Beta shapes, one (a, b) per row of a (K, n)
+    responsibility block whose row sums are mass; work is a (K, n) scratch."""
+    mean = (np.multiply(resp, values, out=work).sum(axis=1) / mass).tolist()
+    var = _weighted_var(values, mean, resp, mass, work).tolist()
+    return [(c * m + SHAPE_EPS, c * (1.0 - m) + SHAPE_EPS)
+            for m, c in zip(mean, map(_concentration, mean, var))]
+
+
+def _dirichlet_mom(rows, resp, mass, work) -> list[np.ndarray]:
+    """Method-of-moments Dirichlet alpha per row of a (K, n) responsibility
+    block; the precision comes from the first coordinate's variance."""
+    mean = (resp[:, :, None] * rows).sum(axis=1) / mass[:, None]
+    var1 = _weighted_var(rows[:, 0], mean[:, 0], resp, mass, work)
+    return [_concentration(m[0], v) * m + SHAPE_EPS for m, v in zip(mean, var1.tolist())]
 
 
 def _clipped_logs(x) -> tuple[np.ndarray, np.ndarray]:
@@ -147,28 +159,45 @@ def _dirichlet_log_density(log_rows: np.ndarray, alpha: np.ndarray) -> np.ndarra
     return const + ((alpha - 1.0) * log_rows).sum(axis=-1)
 
 
-def _logsumexp_components(log_joint: np.ndarray) -> np.ndarray:
+def _exp_zeroing(x: np.ndarray, zero: np.ndarray) -> None:
+    """exp(x) in place, with +0.0 in the lanes flagged by zero. Those lanes
+    hold 0.0 while np.exp runs, so none takes its slow underflow path."""
+    np.putmask(x, zero, 0.0)
+    np.exp(x, out=x)
+    np.putmask(x, zero, 0.0)
+
+
+def _logsumexp_components(log_joint: np.ndarray, work=None, masks=None) -> np.ndarray:
     """ln sum_k exp(log_joint[k, i]) for a component-major (K, n) array.
 
     Bit-identical to scipy.special.logsumexp(x, axis=1) on the C-ordered
     (n, K) transpose x, because it takes scipy 1.17's steps: the entries equal
     to the column maximum are taken out of the sum and counted (m), the rest
     gives s = sum exp(x - max) / m, and the result is log1p(s) + log(m) + max.
-    numpy sums a C-ordered (n, K) row left to right only while K < 8, the
-    order in which the rows of a (K, n) array add; for K >= 8 it sums
-    pairwise, so that case sums a C-ordered (n, K) copy. Where a result is not
-    finite (a column of -inf, an inf or a nan), scipy's own call answers.
+    With no tied maximum, m = 1 and that is log1p(s) + max exactly. numpy
+    sums a C-ordered (n, K) row left to right only while K < 8, the order in
+    which the rows of a (K, n) array add; for K >= 8 it sums pairwise, so that
+    case sums a C-ordered (n, K) copy. Where a result is not finite (a column
+    of -inf, an inf or a nan), scipy's own call answers. The scratch buffers
+    work (K, n) and masks (2, K, n, bool) are allocated when not given.
     """
+    if work is None:
+        work = np.empty(log_joint.shape)
+        masks = np.empty((2,) + log_joint.shape, dtype=bool)
+    zero, low = masks
     with np.errstate(divide="ignore", invalid="ignore"):
         a_max = log_joint.max(axis=0)
-        is_max = log_joint == a_max
-        m = is_max.sum(axis=0, dtype=np.float64)
-        terms = np.exp(np.where(is_max, -np.inf, log_joint) - a_max)
-        if terms.shape[0] < 8:
-            s = terms.sum(axis=0)
+        np.equal(log_joint, a_max, out=zero)
+        # n maxima in all can hide a tie only beside a nan column, which falls back.
+        m = zero.sum(axis=0, dtype=np.float64) if np.count_nonzero(zero) > a_max.size else None
+        np.subtract(log_joint, a_max, out=work)
+        zero |= np.less(work, EXP_ZERO_BELOW, out=low)
+        _exp_zeroing(work, zero)
+        if work.shape[0] < 8:
+            s = work.sum(axis=0)
         else:
-            s = np.ascontiguousarray(terms.T).sum(axis=1)
-        out = np.log1p(s / m) + np.log(m) + a_max
+            s = np.ascontiguousarray(work.T).sum(axis=1)
+        out = np.log1p(s) + a_max if m is None else np.log1p(s / m) + np.log(m) + a_max
     if not np.isfinite(out).all():
         return logsumexp(np.ascontiguousarray(log_joint.T), axis=1)
     return out
@@ -187,10 +216,13 @@ def _renormalize(comps: list[tuple]) -> list[tuple]:
 def _em(init_values, k, log_density, mom, tol, max_iter):
     """The EM loop both families run, over (params, pi) pairs.
 
-    K-means on init_values gives the first memberships. log_density(params)
-    turns the list of component parameters into a (K, n) block of log
-    densities, and mom(resp) is one component's M-step. Returns
-    (comps, trace, converged, iterations), comps in component order.
+    K-means on init_values gives the first memberships. log_density(params,
+    out, work) writes the K components' log densities into the (K, n) block
+    out; mom(resp, mass, work) is the M-step, one parameter set per row of a
+    (K, n) responsibility block with row sums mass. Both may overwrite the
+    (K, n) scratch work. Rows of zero mass give unused nan moments, hence the
+    errstate. Returns (comps, trace, converged, iterations), comps in
+    component order.
     """
     n = init_values.shape[0]
     if n < max(k, 2):
@@ -198,44 +230,47 @@ def _em(init_values, k, log_density, mom, tol, max_iter):
     if k < 1:
         raise ValueError("k must be positive")
     labels = kmeans_1d(init_values, k)
-    # An empty init cluster still needs parameters; the global fit keeps it
-    # harmless until responsibilities decide its fate.
-    global_params = mom(np.ones(n))
-    comps = []
-    for j in range(k):
-        mask = labels == j
-        comps.append((mom(mask.astype(np.float64)) if mask.any() else global_params,
-                      mask.sum() / n))
-    comps = _renormalize(comps)
+    log_joint, work = np.empty((2, k, n))
+    masks = np.empty((2, k, n), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # An empty init cluster still needs parameters; the global fit keeps
+        # it harmless until responsibilities decide its fate.
+        global_params = mom(np.ones((1, n)), np.full(1, float(n)), work[:1])[0]
+        members = (labels == np.arange(k)[:, None]).astype(np.float64)
+        counts = members.sum(axis=1)
+        comps = _renormalize([
+            (params if count > 0 else global_params, count / n)
+            for params, count in zip(mom(members, counts, work), counts)
+        ])
 
-    trace: list[float] = []
-    converged = False
-    iterations = 0
-    for it in range(max_iter):
-        log_joint = _log_pi([pi for _, pi in comps]) + log_density([p for p, _ in comps])
-        log_norm = _logsumexp_components(log_joint)
-        loglik = float(log_norm.sum())
-        if trace and loglik < trace[-1] - 1e-10:
-            # Moment-matching step lowered the likelihood; undo and stop.
-            comps = prev_comps
-            converged = True
-            break
-        trace.append(loglik)
-        iterations = it + 1
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
-            converged = True
-            break
-        gamma = np.exp(log_joint - log_norm)
-        prev_comps = comps
-        new_comps = []
-        for (params, _), resp in zip(comps, gamma):
-            mass = resp.sum()
-            if mass < RESP_FLOOR_FRACTION * n:
-                # Starved component: freeze parameters, floor its weight.
-                new_comps.append((params, PI_FLOOR))
-            else:
-                new_comps.append((mom(resp), mass / n))
-        comps = _renormalize(new_comps)
+        trace: list[float] = []
+        converged = False
+        iterations = 0
+        for it in range(max_iter):
+            log_density([p for p, _ in comps], log_joint, work)
+            for row, (_, pi) in zip(log_joint, comps):
+                row += np.log(max(pi, PI_FLOOR))
+            log_norm = _logsumexp_components(log_joint, work, masks)
+            loglik = float(log_norm.sum())
+            if trace and loglik < trace[-1] - 1e-10:
+                # Moment-matching step lowered the likelihood; undo and stop.
+                comps = prev_comps
+                converged = True
+                break
+            trace.append(loglik)
+            iterations = it + 1
+            if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
+                converged = True
+                break
+            gamma = np.subtract(log_joint, log_norm, out=work)
+            _exp_zeroing(gamma, np.less(gamma, EXP_ZERO_BELOW, out=masks[0]))
+            mass = gamma.sum(axis=1)
+            prev_comps = comps
+            # Starved components freeze their parameters and floor their weight.
+            comps = _renormalize([
+                (old, PI_FLOOR) if m < RESP_FLOOR_FRACTION * n else (new, m / n)
+                for (old, _), new, m in zip(comps, mom(gamma, mass, log_joint), mass)
+            ])
     return comps, trace, converged, iterations
 
 
@@ -293,12 +328,16 @@ def em_fit(
     values = np.clip(values, VALUE_CLIP, 1.0 - VALUE_CLIP)
     log_x, log_1mx = np.log(values), np.log(1.0 - values)
 
-    def log_density(shapes):
-        a, b = zip(*shapes)
-        return _beta_log_density(log_x, log_1mx, np.array(a)[:, None], np.array(b)[:, None])
+    def log_density(shapes, out, work):
+        a, b = map(np.array, zip(*shapes))
+        const = gammaln(a + b) - gammaln(a) - gammaln(b)
+        for row, tmp, c, am1, bm1 in zip(out, work, const, a - 1.0, b - 1.0):
+            np.multiply(log_x, am1, out=row)
+            row += c
+            row += np.multiply(log_1mx, bm1, out=tmp)
 
     comps, trace, converged, iterations = _em(
-        values, k, log_density, lambda resp: _beta_mom(values, resp), tol, max_iter
+        values, k, log_density, lambda *block: _beta_mom(values, *block), tol, max_iter
     )
     comps.sort(key=lambda c: c[0][0] / (c[0][0] + c[0][1]))
     return BetaMixtureModel(
@@ -367,8 +406,9 @@ def dirichlet_em_fit(
     log_rows = np.log(rows)
     comps, trace, converged, iterations = _em(
         rows[:, -1], k,
-        lambda alphas: _dirichlet_log_density(log_rows, np.stack(alphas)[:, None, :]),
-        lambda resp: _dirichlet_mom(rows, resp),
+        lambda alphas, out, work: np.copyto(
+            out, _dirichlet_log_density(log_rows, np.stack(alphas)[:, None, :])),
+        lambda *block: _dirichlet_mom(rows, *block),
         tol, max_iter,
     )
     comps.sort(key=lambda c: c[0][-1] / c[0].sum())

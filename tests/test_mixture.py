@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from dawin.mixture import (
     BetaMixtureModel,
     DirichletComponent,
     DirichletMixtureModel,
-    _dirichlet_mom,
     _logsumexp_components,
     beta_log_pdf,
     dirichlet_em_fit,
@@ -48,23 +48,28 @@ def test_kmeans_degenerate_ks():
         kmeans_1d(values, 4)
 
 
+def _beta_mom_one(values, resp):
+    block = resp[None, :]
+    return mx._beta_mom(values, block, block.sum(axis=1), np.empty_like(block))[0]
+
+
 def test_mom_direct_substitution():
     # mean 0.5, var 0.05: C = 0.25/0.05 - 1 = 4, so (a, b) ~ (2, 2)
     rng = np.random.default_rng(0)
     values = rng.uniform(size=4000)
     values = 0.5 + math.sqrt(0.05) * (values - values.mean()) / values.std()
-    a, b = mx._beta_mom(values, np.ones_like(values))
+    a, b = _beta_mom_one(values, np.ones_like(values))
     assert abs(a - 2.0) < 1e-4 and abs(b - 2.0) < 1e-4
 
     values = 0.8 + math.sqrt(0.01) * (values - values.mean()) / values.std()
-    a, b = mx._beta_mom(values, np.ones_like(values))
+    a, b = _beta_mom_one(values, np.ones_like(values))
     # C = 0.16/0.01 - 1 = 15; a = 12, b = 3
     assert abs(a - 12.0) < 1e-4 and abs(b - 3.0) < 1e-4
 
 
 def test_mom_point_mass_fallback():
     for v in (0.3, 0.5, 0.85):
-        a, b = mx._beta_mom(np.full(100, v), np.ones(100))
+        a, b = _beta_mom_one(np.full(100, v), np.ones(100))
         assert abs(a / (a + b) - v) < 1e-6
 
 
@@ -276,9 +281,38 @@ def test_fits_reject_nan_coefficients():
 # ----- exact oracles: the E-step before the component-major kernel ---------------
 #
 # These are the scalar-per-component implementations the kernel replaced, kept
-# verbatim (only renamed). The kernel must reproduce them bit for bit: equal
-# fitted models (components, loglik trace, iterations, flags) and equal
-# memberships.
+# verbatim (only renamed), with their own copies of the moment estimators so
+# that no oracle calls the code under test. The kernel must reproduce them bit
+# for bit: equal fitted models (components, loglik trace, iterations, flags)
+# and equal memberships.
+
+
+def _ref_concentration(mean, var):
+    if var < 1e-12:
+        return 1e2
+    conc = mean * (1.0 - mean) / var - 1.0
+    if conc <= 0.0:
+        conc = 1e-2
+    return conc
+
+
+def _ref_beta_mom(values, resp):
+    total = resp.sum()
+    if total <= 0.0:
+        raise ValueError("zero effective weight")
+    mean = float((resp * values).sum() / total)
+    var = float((resp * (values - mean) ** 2).sum() / total)
+    conc = _ref_concentration(mean, var)
+    return conc * mean + 1e-6, conc * (1.0 - mean) + 1e-6
+
+
+def _ref_dirichlet_mom(rows, resp):
+    total = resp.sum()
+    if total <= 0.0:
+        raise ValueError("zero effective weight")
+    mean = (resp[:, None] * rows).sum(axis=0) / total
+    var1 = float((resp * (rows[:, 0] - mean[0]) ** 2).sum() / total)
+    return _ref_concentration(mean[0], var1) * mean + 1e-6
 
 
 def _ref_beta_log_pdf(x, a, b):
@@ -317,11 +351,11 @@ def _ref_em_fit(values, k, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
 
     labels = kmeans_1d(values, k)
     comps = []
-    global_shapes = mx._beta_mom(values, np.ones(n))
+    global_shapes = _ref_beta_mom(values, np.ones(n))
     for j in range(k):
         mask = labels == j
         pi = mask.sum() / n
-        shapes = mx._beta_mom(values, mask.astype(np.float64)) if mask.any() else global_shapes
+        shapes = _ref_beta_mom(values, mask.astype(np.float64)) if mask.any() else global_shapes
         comps.append((shapes[0], shapes[1], pi))
     comps = _ref_renormalize(comps)
 
@@ -350,7 +384,7 @@ def _ref_em_fit(values, k, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
                 a, b, _ = comps[j]
                 new_comps.append((a, b, PI_FLOOR))
                 continue
-            a, b = mx._beta_mom(values, gamma[:, j])
+            a, b = _ref_beta_mom(values, gamma[:, j])
             new_comps.append((a, b, mass / n))
         comps = _ref_renormalize(new_comps)
 
@@ -408,12 +442,12 @@ def _ref_dirichlet_em_fit(rows, k, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     rows = np.clip(rows, VALUE_CLIP, 1.0 - VALUE_CLIP)
 
     labels = kmeans_1d(rows[:, -1], k)
-    global_alpha = _dirichlet_mom(rows, np.ones(n))
+    global_alpha = _ref_dirichlet_mom(rows, np.ones(n))
     comps = []
     for j in range(k):
         mask = labels == j
         pi = mask.sum() / n
-        alpha = _dirichlet_mom(rows, mask.astype(np.float64)) if mask.any() else global_alpha
+        alpha = _ref_dirichlet_mom(rows, mask.astype(np.float64)) if mask.any() else global_alpha
         comps.append((alpha, pi))
     comps = _ref_renormalize_dir(comps)
 
@@ -444,7 +478,7 @@ def _ref_dirichlet_em_fit(rows, k, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
             if mass < RESP_FLOOR_FRACTION * n:
                 new_comps.append((comps[j][0], PI_FLOOR))
                 continue
-            new_comps.append((_dirichlet_mom(rows, gamma[:, j]), mass / n))
+            new_comps.append((_ref_dirichlet_mom(rows, gamma[:, j]), mass / n))
         comps = _ref_renormalize_dir(new_comps)
 
     comps = sorted(comps, key=lambda c: c[0][-1] / c[0].sum())
@@ -620,3 +654,138 @@ def test_mixture_hot_path_skips_scipy_logsumexp(monkeypatch):
     values = np.random.default_rng(90).beta(2, 5, size=200)
     em_fit(values, 3)
     dirichlet_em_fit(np.column_stack([values, 1.0 - values]), 2)
+
+
+# ----- exact-zero lanes and the other lane classes of the E-step --------------------
+
+# exp(x) is subnormal for x in (ln 2^-1075, ln 2^-1022) and exactly 0 below.
+LN_HALF_SMALLEST_SUBNORMAL = -1075 * math.log(2.0)
+LN_SMALLEST_NORMAL = -1022 * math.log(2.0)
+
+
+def test_exp_is_positive_zero_below_the_bound():
+    assert mx.EXP_ZERO_BELOW < LN_HALF_SMALLEST_SUBNORMAL
+    sweep = np.concatenate([
+        np.linspace(mx.EXP_ZERO_BELOW, mx.EXP_ZERO_BELOW - 2.0, 2_000_001),
+        -np.geomspace(-mx.EXP_ZERO_BELOW, 1e300, 1_000_001),
+        [-np.inf],
+    ])
+    out = np.exp(sweep)
+    assert np.all(out == 0.0) and not np.signbit(out).any()
+    assert np.exp(np.nextafter(LN_HALF_SMALLEST_SUBNORMAL, 0.0)) > 0.0
+
+
+@pytest.mark.parametrize("k", [2, 3, 9])
+def test_logsumexp_components_keeps_subnormal_terms(k):
+    # Each column's maximum is exactly 0, so log1p(s) = s and a term of
+    # subnormal size shows in the result; a bound above ln 2^-1075 drops it.
+    rng = np.random.default_rng(110 + k)
+    lanes = [-708.0, -709.0, -720.0, -740.0, -745.0, -745.13, -745.14, -746.0, -800.0, -1e8, -np.inf]
+    a = rng.choice(lanes, size=(k, 500))
+    a[rng.integers(0, k, size=500), np.arange(500)] = 0.0
+    a[:2, 450:] = 0.0  # tied maxima
+    expected = logsumexp(np.ascontiguousarray(a.T), axis=1)
+    assert np.array_equal(_logsumexp_components(a), expected)
+    tiny = (expected > 0.0) & (expected < np.finfo(np.float64).tiny)
+    assert tiny.sum() > 10
+
+
+@pytest.fixture
+def lane_counts(monkeypatch):
+    """Counts the E-step lanes of each class over the fits a test runs."""
+    counts = Counter()
+    lse, exp_zeroing = mx._logsumexp_components, mx._exp_zeroing
+
+    def counting_lse(log_joint, *buffers):
+        a_max = log_joint.max(axis=0)
+        counts["tied maxima"] += np.count_nonzero(log_joint == a_max) > a_max.shape[0]
+        return lse(log_joint, *buffers)
+
+    def counting_exp(x, zero):
+        counts["near point mass"] += np.count_nonzero(x < -1e7)
+        counts["exactly zero"] += np.count_nonzero(x < mx.EXP_ZERO_BELOW)
+        counts["subnormal"] += np.count_nonzero(
+            (x > LN_HALF_SMALLEST_SUBNORMAL) & (x < LN_SMALLEST_NORMAL)
+        )
+        exp_zeroing(x, zero)
+
+    monkeypatch.setattr(mx, "_logsumexp_components", counting_lse)
+    monkeypatch.setattr(mx, "_exp_zeroing", counting_exp)
+    return counts
+
+
+def test_fits_equal_reference_on_near_point_masses(lane_counts):
+    # A cluster with spread 2e-6 fits a + b ~ 1e10, as on the seed-0 inputs:
+    # its log-joint lanes reach about -1e9, and some lanes' exp is subnormal.
+    rng = np.random.default_rng(100)
+    lam = np.concatenate([rng.beta(2, 5, size=300), 0.3 + 2e-6 * rng.standard_normal(200)])
+    for k in (3, 9):  # K >= 8 sums the terms pairwise
+        model = _assert_beta_fit_matches(lam, k, max_iter=60)
+        assert max(c.a + c.b for c in model.components) > 1e9
+    rows = np.column_stack([0.5 * (1.0 - lam), 0.5 * (1.0 - lam), lam])
+    for k in (3, 8):
+        _assert_dirichlet_fit_matches(rows, k, max_iter=40)
+    assert lane_counts["near point mass"] > 1000
+    assert lane_counts["exactly zero"] > lane_counts["near point mass"]
+    assert lane_counts["subnormal"] > 10
+
+
+def test_fits_equal_reference_on_tied_maxima(lane_counts):
+    # Mirrored dyadic clusters of 256 values fit mirrored components (a, b)
+    # and (b, a) exactly; at x = 0.5 their log-joints often tie as the column
+    # maximum, depending on the rounding of the two sums.
+    for seed in range(20):
+        half = np.random.default_rng(seed).integers(1, 21, size=256) / 64.0
+        _assert_beta_fit_matches(np.concatenate([half, 1.0 - half, [0.5]]), 3, max_iter=5)
+    assert lane_counts["tied maxima"] >= 1
+
+
+def test_fits_equal_reference_with_starved_components(lane_counts):
+    starved = _assert_beta_fit_matches(np.full(120, 0.37), 3)
+    assert sum(c.pi < 1e-9 for c in starved.components) == 2
+    rows = np.tile([0.2, 0.5, 0.3], (90, 1))
+    starved = _assert_dirichlet_fit_matches(rows, 9)
+    assert sum(c.pi < 1e-9 for c in starved.components) == 8
+
+
+# ----- input checks and fallbacks ----------------------------------------------------
+
+
+def test_concentration_fallbacks():
+    assert mx._concentration(0.5, 0.25) == mx.CONCENTRATION_DIFFUSE == 1e-2  # C = 0
+    assert mx._concentration(0.5, 0.3) == 1e-2  # above the Bernoulli variance
+    assert mx._concentration(0.3, 1e-13) == mx.CONCENTRATION_POINT_MASS == 1e2
+    assert mx._concentration(0.5, 0.05) == 4.0
+
+
+def test_input_checks_raise_with_their_messages():
+    values = np.random.default_rng(120).beta(2, 2, size=20)
+    cases = [
+        (lambda: kmeans_1d(values[None, :], 2), ValueError, "kmeans_1d expects a vector"),
+        (lambda: kmeans_1d(values, 0), ValueError, "k must be positive"),
+        (lambda: em_fit(values[None, :], 2), ValueError, "em_fit expects a vector of coefficients"),
+        (lambda: em_fit(values, 0), ValueError, "k must be positive"),
+        (lambda: em_fit(values[:1], 1), InsufficientSamplesError, "need at least 2 samples, got 1"),
+        (lambda: em_fit(values[:3], 4), InsufficientSamplesError, "need at least 4 samples, got 3"),
+        (lambda: beta_log_pdf(0.5, 0.0, 1.0), ValueError, "shape parameters must be positive"),
+        (lambda: beta_log_pdf(0.5, 1.0, -1.0), ValueError, "shape parameters must be positive"),
+        (lambda: dirichlet_em_fit(values, 2), ValueError, r"expected \(n, M\) rows with M >= 2"),
+        (lambda: dirichlet_em_fit(np.ones((20, 1)), 2), ValueError, r"expected \(n, M\) rows"),
+        (lambda: dirichlet_em_fit(np.full((20, 2), 0.5), 0), ValueError, "k must be positive"),
+    ]
+    bad_beta = BetaMixtureModel(
+        components=(BetaComponent(a=2.0, b=3.0, pi=0.5), BetaComponent(a=0.0, b=3.0, pi=0.5)),
+        loglik_trace=(0.0,), converged=True, iterations=1,
+    )
+    bad_dirichlet = DirichletMixtureModel(
+        components=(DirichletComponent(alpha=(1.0, 0.0), pi=1.0),),
+        loglik_trace=(0.0,), converged=True, iterations=1,
+    )
+    cases += [
+        (lambda: infer_membership(bad_beta, 0.5), ValueError, "shape parameters must be positive"),
+        (lambda: dirichlet_membership(bad_dirichlet, [0.5, 0.5]), ValueError,
+         "concentration parameters must be positive"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error, match=message):
+            call()
