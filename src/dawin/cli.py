@@ -8,7 +8,6 @@ Outputs are written atomically; every report embeds the effective config.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import harness
 from .classifier import MlpArchitecture, TrainConfig, calibrate_temperature, forward_batch, train
-from .databench import SuiteSpec, generate, load_domain, load_suite, save_suite
+from .databench import SuiteSpec, generate, load_suite, read_domain_csv, save_suite
 from .errors import CheckpointFormatError, DataFormatError, DawinError
 from .expertise import (
     COEFF_MODES,
@@ -33,6 +32,7 @@ from .expertise import (
 from .merge import STRATEGIES, MergeOptions, MergeStrategy
 from .mixture import dirichlet_em_fit, em_fit, save_mixture
 from .params import Checkpoint, checkpoint_id, interpolate_pair, load_checkpoint, save_checkpoint
+from .util import read_json
 
 ROLES = ("pretrain", "finetune", "task")
 # `suite` exit status when any property check fails; 1 and 2 stay the
@@ -61,15 +61,9 @@ def _load_checkpoint(path: str) -> tuple[Checkpoint, MlpArchitecture]:
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise DawinError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DawinError(f"config file {path} is not valid JSON: {exc}") from exc
+    data = read_json(path)
     if not isinstance(data, dict):
-        raise DawinError(f"config file {path} must hold a JSON object")
+        raise DataFormatError(f"{path}: config file must hold a JSON object")
     return data
 
 
@@ -154,36 +148,9 @@ def cmd_train(args, config) -> int:
     return 0
 
 
-def _load_features(path: str) -> np.ndarray:
-    """A feature-only domain CSV: header f0,...,f{d-1}, then d finite values
-    per row."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [line.rstrip("\r\n").split(",") for line in fh if line.strip()]
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
-    if not rows or rows[0] != [f"f{i}" for i in range(len(rows[0]))]:
-        raise DataFormatError(f"{path}: neither a labeled nor a feature-only domain CSV")
-    if len(rows) == 1:
-        raise DataFormatError(f"{path}: no data rows")
-    dim = len(rows[0])
-    x = np.empty((len(rows) - 1, dim))
-    for i, row in enumerate(rows[1:], start=1):
-        if len(row) != dim:
-            raise DataFormatError(f"{path}: row {i}: expected {dim} fields, got {len(row)}")
-        try:
-            x[i - 1] = [float(v) for v in row]
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: row {i}: {exc}") from exc
-        if not np.all(np.isfinite(x[i - 1])):
-            raise DataFormatError(f"{path}: row {i}: non-finite feature value")
-    return x
-
-
 def _resolve_domain(suite, spec_text: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """Suite domain name, or a CSV path: labeled per the domain schema when its
-    header starts with label, else feature-only with header f0,...,f{d-1}
-    (labels come back as None). Each reader's errors name the file."""
+    """Suite domain name, or a labeled or feature-only domain CSV path
+    (labels come back as None for the latter)."""
     if suite is not None:
         domains = suite.domains()
         if spec_text in domains:
@@ -191,12 +158,7 @@ def _resolve_domain(suite, spec_text: str) -> tuple[np.ndarray, np.ndarray | Non
             return d.x, d.y
     if not os.path.exists(spec_text):
         raise DataFormatError(f"{spec_text!r} is neither a suite domain nor a CSV path")
-    with open(spec_text, "rb") as fh:
-        labeled = fh.readline().split(b",", 1)[0].strip() == b"label"
-    if labeled:
-        d = load_domain(spec_text)
-        return d.x, d.y
-    return _load_features(spec_text), None
+    return read_domain_csv(spec_text)
 
 
 def cmd_coeffs(args, config) -> int:

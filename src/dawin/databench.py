@@ -8,13 +8,14 @@ variant reuses the same clusters with per-task (rotation, class-mean
 reshuffle) pairs so task experts genuinely disagree.
 
 Domains serialize to CSV with header "label,f0,...,f{d-1}" and 17 significant
-digits per feature, which round-trips float64 exactly. A suite serializes to a
-directory of CSVs plus a manifest.json.
+digits per feature, which round-trips float64 exactly. Unlabeled samples, such
+as the test points a training-free merge runs on, use the feature-only header
+"f0,...,f{d-1}"; read_domain_csv reads both. A suite serializes to a directory
+of labeled CSVs plus a manifest.json.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError
-from .util import atomic_write, substream
+from .util import atomic_write, read_csv, read_json, substream
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA_VERSION = 1
@@ -370,51 +371,56 @@ def save_domain(domain: Domain, path: str) -> None:
 def _bad_field(header: list[str], row: list[str]) -> str:
     """The column of the first value in row that does not parse: the label
     as an int, a feature as a float."""
-    for j, value in enumerate(row):
+    for column, value in zip(header, row):
         try:
-            int(value) if j == 0 else float(value)
+            int(value) if column == "label" else float(value)
         except ValueError:
-            return header[j]
+            return column
     raise AssertionError("every field parses")
 
 
-def load_domain(path: str, name: str | None = None, shift_spec: dict | None = None) -> Domain:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            rows = list(reader)
-    except OSError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+def read_domain_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """A domain CSV's features and labels. The header is label,f0,...,f{d-1},
+    or f0,...,f{d-1} for a feature-only file, whose labels come back as None.
+    Every malformed file is a DataFormatError naming the path."""
+    rows = read_csv(path)
     if not rows:
         raise DataFormatError(f"{path}: empty domain file")
     header = rows[0]
-    if len(header) < 2 or header[0] != "label":
-        raise DataFormatError(f"{path}: bad header {header!r}")
-    dim = len(header) - 1
-    expected_cols = ["label"] + [f"f{i}" for i in range(dim)]
-    if header != expected_cols:
-        raise DataFormatError(f"{path}: header columns must be label,f0,...,f{dim - 1}")
+    labeled = int(header[:1] == ["label"])  # so row[labeled:] are a row's features
+    dim = len(header) - labeled
+    if dim < 1 or header[labeled:] != [f"f{i}" for i in range(dim)]:
+        raise DataFormatError(
+            f"{path}: header must be label,f0,...,f{{d-1}} or f0,...,f{{d-1}}, got {header!r}"
+        )
     if len(rows) == 1:
         raise DataFormatError(f"{path}: no data rows")
-    n = len(rows) - 1
-    x = np.empty((n, dim))
-    y = np.empty(n, dtype=np.int64)
+    x = np.empty((len(rows) - 1, dim))
+    y = np.empty(len(x), dtype=np.int64) if labeled else None
     for i, row in enumerate(rows[1:], start=1):
-        if len(row) != dim + 1:
-            raise DataFormatError(f"{path}: row {i}: expected {dim + 1} fields, got {len(row)}")
+        if len(row) != len(header):
+            raise DataFormatError(f"{path}: row {i}: expected {len(header)} fields, got {len(row)}")
         try:
-            y[i - 1] = int(row[0])
-            x[i - 1] = [float(v) for v in row[1:]]
+            if labeled:
+                y[i - 1] = int(row[0])
+            x[i - 1] = [float(v) for v in row[labeled:]]
         except ValueError as exc:
             raise DataFormatError(
                 f"{path}: row {i}: field {_bad_field(header, row)!r}: {exc}"
             ) from exc
-        if y[i - 1] < 0:
-            raise DataFormatError(f"{path}: row {i}: negative label")
-    if not np.all(np.isfinite(x)):
-        raise DataFormatError(f"{path}: non-finite feature values")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise DataFormatError(f"{path}: row {np.argmin(finite) + 1}: non-finite feature value")
+    if labeled and y.min() < 0:
+        raise DataFormatError(f"{path}: row {np.argmax(y < 0) + 1}: negative label")
+    return x, y
+
+
+def load_domain(path: str, name: str | None = None, shift_spec: dict | None = None) -> Domain:
+    """A labeled domain CSV (header label,f0,...,f{d-1}) as a Domain."""
+    x, y = read_domain_csv(path)
+    if y is None:
+        raise DataFormatError(f"{path}: no label column; a domain needs label,f0,...")
     return Domain(
         name or os.path.splitext(os.path.basename(path))[0],
         x,
@@ -452,65 +458,60 @@ def save_suite(suite: BenchmarkSuite, directory: str) -> None:
 
 
 def load_suite(directory: str) -> BenchmarkSuite:
+    """The suite that save_suite wrote to directory. A manifest of the wrong
+    shape is a DataFormatError naming the manifest; a bad domain CSV is one
+    naming that CSV."""
     manifest_path = os.path.join(directory, MANIFEST_NAME)
+    manifest = read_json(manifest_path)
     try:
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except OSError as exc:
-        raise DataFormatError(f"{manifest_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
-    if manifest.get("schema_version") != MANIFEST_SCHEMA_VERSION:
-        raise DataFormatError(
-            f"{manifest_path}: unsupported schema version {manifest.get('schema_version')!r}"
-        )
-    try:
+        if manifest["schema_version"] != MANIFEST_SCHEMA_VERSION:
+            raise DataFormatError(
+                f"{manifest_path}: unsupported schema version {manifest['schema_version']!r}"
+            )
         seed = int(manifest["seed"])
         spec = SuiteSpec.from_dict(manifest["spec"])
         roles = dict(manifest["roles"])
         entries = dict(manifest["domains"])
-        task_entries = list(manifest.get("mtl_tasks", []))
-    except (KeyError, TypeError, ValueError) as exc:
+
+        def role(name: str):
+            if name not in roles:
+                raise DataFormatError(f"{manifest_path}: manifest names no {name!r} role")
+            return roles[name]
+
+        def key(entry, what: str, name: str):
+            if not isinstance(entry, dict) or name not in entry:
+                raise DataFormatError(f"{manifest_path}: {what} has no {name!r} key")
+            return entry[name]
+
+        def load_named(name: str) -> Domain:
+            entry = entries.get(name)
+            if entry is None:
+                raise DataFormatError(f"{manifest_path}: manifest lists no domain {name!r}")
+            what = f"domain entry {name!r}"
+            path = os.path.join(directory, key(entry, what, "path"))
+            dom = load_domain(path, name, key(entry, what, "shift_spec"))
+            if dom.dim != spec.dim:
+                raise DataFormatError(f"{path}: dimension {dom.dim} does not match spec {spec.dim}")
+            if dom.y.max() >= spec.class_count:
+                raise DataFormatError(f"{path}: label exceeds class count {spec.class_count}")
+            return dom
+
+        tasks = tuple(
+            TaskSplit(
+                load_named(key(entry, f"mtl_tasks entry {j}", "train")),
+                load_named(key(entry, f"mtl_tasks entry {j}", "test")),
+            )
+            for j, entry in enumerate(manifest.get("mtl_tasks", []))
+        )
+        return BenchmarkSuite(
+            seed=seed,
+            spec=spec,
+            pretrain_mix=load_named(role("pretrain_mix")),
+            id_train=load_named(role("id_train")),
+            id_val=load_named(role("id_val")),
+            id_test=load_named(role("id_test")),
+            ood_tests=tuple(load_named(n) for n in role("ood_tests")),
+            mtl_tasks=tasks,
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{manifest_path}: malformed manifest: {exc}") from exc
-
-    def role(name: str):
-        if name not in roles:
-            raise DataFormatError(f"{manifest_path}: manifest names no {name!r} role")
-        return roles[name]
-
-    def key(entry, what: str, name: str):
-        if not isinstance(entry, dict) or name not in entry:
-            raise DataFormatError(f"{manifest_path}: {what} has no {name!r} key")
-        return entry[name]
-
-    def load_named(name: str) -> Domain:
-        entry = entries.get(name)
-        if entry is None:
-            raise DataFormatError(f"{manifest_path}: manifest lists no domain {name!r}")
-        what = f"domain entry {name!r}"
-        dom = load_domain(
-            os.path.join(directory, key(entry, what, "path")), name, key(entry, what, "shift_spec")
-        )
-        if dom.dim != spec.dim:
-            raise DataFormatError(f"{name}: dimension {dom.dim} does not match spec {spec.dim}")
-        if dom.y.max() >= spec.class_count:
-            raise DataFormatError(f"{name}: label exceeds class count {spec.class_count}")
-        return dom
-
-    tasks = tuple(
-        TaskSplit(
-            load_named(key(entry, f"mtl_tasks entry {j}", "train")),
-            load_named(key(entry, f"mtl_tasks entry {j}", "test")),
-        )
-        for j, entry in enumerate(task_entries)
-    )
-    return BenchmarkSuite(
-        seed=seed,
-        spec=spec,
-        pretrain_mix=load_named(role("pretrain_mix")),
-        id_train=load_named(role("id_train")),
-        id_val=load_named(role("id_val")),
-        id_test=load_named(role("id_test")),
-        ood_tests=tuple(load_named(n) for n in role("ood_tests")),
-        mtl_tasks=tasks,
-    )

@@ -19,7 +19,6 @@ are clipped below at 1e-12 inside logs.
 
 from __future__ import annotations
 
-import csv
 import enum
 import io
 import math
@@ -34,7 +33,7 @@ from .errors import (
     InsufficientSamplesError,
     UndefinedOracleError,
 )
-from .util import atomic_write
+from .util import atomic_write, read_csv
 
 PROB_EPS = 1e-12
 
@@ -117,17 +116,12 @@ def domain_offset(h0: np.ndarray, h1: np.ndarray) -> DomainOffset:
     return DomainOffset(o=o, t=t, mean_h0=m0, mean_h1=m1, n=n)
 
 
-def coeff_pair_offset(
-    h0: np.ndarray, h1: np.ndarray, offset: DomainOffset | None = None
-) -> tuple[np.ndarray, DomainOffset]:
-    """Offset-adjusted two-model coefficients for a whole sample set.
-
-    The offset may be passed in (streaming mode reuses per-batch statistics);
-    by default it is computed from the given entropies.
-    """
+def coeff_pair_offset(h0: np.ndarray, h1: np.ndarray) -> tuple[np.ndarray, DomainOffset]:
+    """Offset-adjusted two-model coefficients for a sample set, with the
+    offset computed from the same entropies; the offset is returned too."""
     h0 = np.asarray(h0, dtype=np.float64)
     h1 = np.asarray(h1, dtype=np.float64)
-    off = offset or domain_offset(h0, h1)
+    off = domain_offset(h0, h1)
     e0, e1 = np.exp(-h0), np.exp(-h1)
     lam = (e1 + off.o / off.t) / (e0 + e1 + off.o)
     return lam, off
@@ -328,11 +322,7 @@ def save_coefficients(batch: CoefficientBatch, path: str) -> None:
 
 
 def load_coefficients(path: str) -> CoefficientBatch:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    rows = read_csv(path)
     if len(rows) < 2:
         raise DataFormatError(f"{path}: no coefficient rows")
     header = rows[0]

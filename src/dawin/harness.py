@@ -62,7 +62,7 @@ from .params import (
     make_task_vector,
     save_checkpoint,
 )
-from .util import atomic_write
+from .util import atomic_write, read_json
 
 SCHEMA_VERSION = 1
 HISTOGRAM_BINS = 50
@@ -238,21 +238,22 @@ class EvalReport:
 
 
 def report_from_dict(data: dict) -> EvalReport:
-    if "schema_version" not in data:
-        raise DataFormatError("report is missing the schema_version field")
-    report = EvalReport(
-        suite_seed=int(data["suite_seed"]),
-        schema_version=int(data["schema_version"]),
-        config=dict(data.get("config", {})),
-        rows=list(data.get("rows", [])),
-        ood_average=dict(data.get("ood_average", {})),
-        splits=dict(data.get("splits", {})),
-        correlations=dict(data.get("correlations", {})),
-        histograms=dict(data.get("histograms", {})),
-        entropy_bars=dict(data.get("entropy_bars", {})),
-    )
-    report.property_checks = [PropertyCheck(**c) for c in data.get("property_checks", [])]
-    return report
+    try:
+        report = EvalReport(
+            suite_seed=int(data["suite_seed"]),
+            schema_version=int(data["schema_version"]),
+            config=dict(data.get("config", {})),
+            rows=list(data.get("rows", [])),
+            ood_average=dict(data.get("ood_average", {})),
+            splits=dict(data.get("splits", {})),
+            correlations=dict(data.get("correlations", {})),
+            histograms=dict(data.get("histograms", {})),
+            entropy_bars=dict(data.get("entropy_bars", {})),
+        )
+        report.property_checks = [PropertyCheck(**c) for c in data.get("property_checks", [])]
+        return report
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"malformed report: {exc}") from exc
 
 
 def report_signature(report: EvalReport) -> dict:
@@ -293,12 +294,11 @@ def emit_report(report: EvalReport, path: str, format: str = "json") -> None:
 
 
 def load_report(path: str) -> EvalReport:
+    data = read_json(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: not valid report JSON ({exc})") from exc
-    return report_from_dict(data)
+        return report_from_dict(data)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def _ood_average(report: EvalReport, ood_names) -> None:

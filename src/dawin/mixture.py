@@ -43,7 +43,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import DataFormatError, InsufficientSamplesError
-from .util import atomic_write
+from .util import atomic_write, read_json
 
 VALUE_CLIP = 1e-6
 SHAPE_EPS = 1e-6
@@ -496,13 +496,7 @@ def save_mixture(model: BetaMixtureModel | DirichletMixtureModel, path: str) -> 
 
 
 def load_mixture(path: str) -> BetaMixtureModel | DirichletMixtureModel:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-        raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
+    data = read_json(path)
     try:
         return mixture_from_dict(data)
     except DataFormatError as exc:

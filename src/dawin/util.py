@@ -1,12 +1,16 @@
-"""Seeded substreams and atomic file writes."""
+"""Seeded substreams, atomic file writes, and the text-file readers."""
 
 from __future__ import annotations
 
+import csv
+import json
 import os
 import tempfile
 import zlib
 
 import numpy as np
+
+from .errors import DataFormatError
 
 
 def substream(root_seed: int, name: str) -> np.random.Generator:
@@ -38,3 +42,29 @@ def atomic_write(path: str | os.PathLike, data: bytes | str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_json(path: str | os.PathLike):
+    """The JSON document in a UTF-8 file. Any failure to read or decode it is
+    a DataFormatError whose message starts with the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, huge ints, deep nesting
+        raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def read_csv(path: str | os.PathLike) -> list[list[str]]:
+    """The rows of a UTF-8 CSV file, header included. Any failure to read or
+    split it is a DataFormatError whose message starts with the path."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            return list(csv.reader(handle))
+    except OSError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    except csv.Error as exc:  # a NUL byte, or a field over csv.field_size_limit()
+        raise DataFormatError(f"{path}: {exc}") from exc

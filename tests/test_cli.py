@@ -136,7 +136,8 @@ def test_coeffs_then_fit_mixture_round_trip(cli_env, tmp_path):
     (["0,0.2,0.3,0.5,plain", "1,nan,0.3,0.5,plain"], "finite"),  # a Dirichlet fit
     (["0,0.9,0.1,plain", "1,0.9,0.4,plain", "2,0.5,0.5,plain"], "row 2"),  # lambda_0 read
     (["0,0.5,0.5,plain", "1,0.5\xff,0.5,plain"], "decode"),  # not UTF-8
-], ids=["beta_nan", "dirichlet_nan", "pair_not_on_simplex", "not_utf8"])
+    (["0,0.5,0.5,plain", "1,0.5" + "0" * 131072 + ",0.5,plain"], "field limit"),  # csv.Error
+], ids=["beta_nan", "dirichlet_nan", "pair_not_on_simplex", "not_utf8", "field_over_limit"])
 def test_fit_mixture_rejects_bad_coefficients(tmp_path, capsys, rows, fragment):
     m = rows[0].count(",") - 1
     coeffs = tmp_path / "coeffs.csv"
@@ -379,6 +380,69 @@ def test_manifest_missing_role_exits_2(cli_env, tmp_path, capsys):
     assert len(err) == 1 and "manifest.json" in err[0] and "'pretrain_mix'" in err[0], err
 
 
+def _manifest_edit(change):
+    """A suite edit that rewrites manifest.json through change(manifest)."""
+    def edit(suite):
+        path = suite / "manifest.json"
+        path.write_text(json.dumps(change(json.loads(path.read_text()))))
+        return path
+    return edit
+
+
+def _set(manifest, keys, value):
+    node = manifest
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return manifest
+
+
+def _not_utf8(suite):
+    path = suite / "manifest.json"
+    path.write_bytes(path.read_bytes() + b"\xff")
+    return path
+
+
+def _field_over_limit(suite):
+    path = suite / "domains" / "id_test.csv"
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1] + "0" * 131072  # one field longer than csv.field_size_limit()
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _csv_missing(suite):
+    path = suite / "domains" / "id_val.csv"
+    path.unlink()
+    return path
+
+
+@pytest.mark.parametrize("edit", [
+    _not_utf8,
+    _manifest_edit(lambda m: []),
+    _manifest_edit(lambda m: _set(m, ["roles", "ood_tests"], 5)),
+    _manifest_edit(lambda m: _set(m, ["domains", "id_val", "path"], 5)),
+    _manifest_edit(lambda m: _set(m, ["domains", "ood_rot45", "shift_spec"], "x")),
+    _manifest_edit(lambda m: _set(m, ["domains", "id_train", "shift_spec"],
+                                  {"kind": "rotation", "angle_deg": 30.0})),
+    _manifest_edit(lambda m: _set(m, ["seed"], float("inf"))),
+    _manifest_edit(lambda m: _set(m, ["schema_version"], 2)),
+    _field_over_limit,
+    _csv_missing,
+], ids=["not_utf8", "list", "ood_tests_int", "path_int", "shift_spec_str", "rotated_id_train",
+        "seed_inf", "schema_version", "csv_field_over_limit", "csv_missing"])
+def test_malformed_suite_file_exits_2_naming_it(cli_env, tmp_path, capsys, edit):
+    suite = tmp_path / "suite"
+    shutil.copytree(cli_env["suite"], suite)
+    bad = edit(suite)
+    capsys.readouterr()
+    code = cli.main(["eval", "--suite", str(suite), "--strategy", "zs",
+                     "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
+
+
 @pytest.mark.parametrize("value", [None, "x"])
 def test_bad_checkpoint_param_count_exits_2(cli_env, tmp_path, capsys, value):
     blob = cli_env["zs"].read_bytes()
@@ -559,10 +623,10 @@ def test_eval_bad_grid_is_a_usage_error(cli_env, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+@pytest.mark.parametrize("text", [b"{not json", b"[1, 2]", b'{"seed": 1}\xff'])
 def test_bad_config_file_exits_2(cli_env, tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(text)
+    cfg.write_bytes(text)
     capsys.readouterr()
     code = cli.main([
         "eval", "--suite", str(cli_env["suite"]), "--strategy", "zs",

@@ -115,6 +115,24 @@ def test_manifest_section_of_wrong_type_is_a_data_error(tiny_suite, tmp_path, se
         load_suite(tmp_path / "suite")
 
 
+@pytest.mark.parametrize("field, value, fragment", [
+    ("dim", 5, "dimension 6 does not match spec 5"),
+    ("class_count", 2, "label exceeds class count 2"),
+])
+def test_domain_that_disagrees_with_the_spec_names_its_csv(
+    tiny_suite, tmp_path, field, value, fragment
+):
+    save_suite(tiny_suite, tmp_path / "suite")
+    path = tmp_path / "suite" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["spec"][field] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DataFormatError) as exc:
+        load_suite(tmp_path / "suite")
+    assert str(exc.value).startswith(str(tmp_path / "suite" / "domains")), exc.value
+    assert str(exc.value).endswith(".csv: " + fragment), exc.value
+
+
 def test_class_priors_are_near_uniform(checks0):
     check = checks0["class_priors_uniform"]
     assert check.passed, check

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +107,16 @@ def test_report_signature_strips_every_declared_field(monkeypatch):
 def test_report_missing_schema_version():
     with pytest.raises(DataFormatError):
         report_from_dict({"suite_seed": 0})
+
+
+@pytest.mark.parametrize("change", [
+    {"rows": 5}, {"config": [1]}, {"suite_seed": "x"}, {"property_checks": [{"name": "c"}]},
+], ids=["rows_int", "config_list", "seed_str", "check_fields_missing"])
+def test_report_of_the_wrong_shape_names_its_file(tmp_path, change):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({**EvalReport(suite_seed=0).to_dict(), **change}))
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: malformed report: "):
+        load_report(path)
 
 
 def test_property_check_validation():
