@@ -18,12 +18,13 @@ from .errors import CheckpointFormatError
 from .params import (
     Checkpoint,
     ParamVector,
-    _validate_arch_header,
+    TrainConfig,
     checkpoint_id,
     mlp_layer_shapes,
     mlp_layout_id,
     mlp_param_count,
 )
+from .util import build
 
 
 def _tanh_slope(a: np.ndarray, out: np.ndarray) -> None:
@@ -52,13 +53,14 @@ class MlpArchitecture:
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
         if self.input_dim < 1:
-            raise ValueError("input_dim must be positive")
+            raise ValueError("'input_dim' must be positive")
         if self.class_count < 2:
-            raise ValueError("class_count must be at least 2")
+            raise ValueError("'class_count' must be at least 2")
         if any(w < 1 for w in self.hidden_widths):
-            raise ValueError("hidden widths must be positive")
+            raise ValueError("'hidden_widths' must be positive")
         if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise ValueError(f"'activation' must be one of {', '.join(_ACTIVATIONS)}, "
+                             f"got {self.activation!r}")
 
     @property
     def layer_shapes(self) -> list[tuple[int, int]]:
@@ -83,16 +85,10 @@ class MlpArchitecture:
         }
 
     @classmethod
-    def from_header(cls, header: dict) -> "MlpArchitecture":
-        """The architecture a checkpoint header names; a missing, ill-typed or
-        unknown field raises CheckpointFormatError naming the field."""
-        arch = _validate_arch_header(header)
-        if arch["activation"] not in _ACTIVATIONS:
-            raise CheckpointFormatError(
-                f"header arch field 'activation' names no known activation: "
-                f"{arch['activation']!r}"
-            )
-        return cls(**arch)
+    def from_header(cls, arch: dict, source: str = "checkpoint") -> "MlpArchitecture":
+        """The architecture a checkpoint's arch names; a field out of range
+        raises CheckpointFormatError naming source and the field."""
+        return build(cls, arch, source, ("arch",), CheckpointFormatError)
 
 
 def unpack(arch: MlpArchitecture, theta: ParamVector | np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -244,28 +240,6 @@ def forward_batch(
     if temperature != 1.0:  # x / 1.0 == x exactly, so T = 1 skips the pass
         z /= temperature
     return _softmax(z, out=z)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 30
-    batch_size: int = 64
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 def mean_xentropy(

@@ -16,7 +16,7 @@ import numpy as np
 from . import harness
 from .classifier import MlpArchitecture, TrainConfig, calibrate_temperature, forward_batch, train
 from .databench import SuiteSpec, generate, load_suite, read_domain_csv, save_suite
-from .errors import CheckpointFormatError, DataFormatError, DawinError
+from .errors import DataFormatError, DawinError
 from .expertise import (
     COEFF_MODES,
     CoefficientBatch,
@@ -32,7 +32,7 @@ from .expertise import (
 from .merge import STRATEGIES, MergeOptions, MergeStrategy
 from .mixture import dirichlet_em_fit, em_fit, save_mixture
 from .params import Checkpoint, checkpoint_id, interpolate_pair, load_checkpoint, save_checkpoint
-from .util import read_json
+from .util import get, get_dataclass, read_json
 
 ROLES = ("pretrain", "finetune", "task")
 # `suite` exit status when any property check fails; 1 and 2 stay the
@@ -49,32 +49,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_checkpoint(path: str) -> tuple[Checkpoint, MlpArchitecture]:
-    """A checkpoint and the architecture its header names; a header that names
-    none is a data error naming the file and the field."""
+    """A checkpoint and the architecture its header names; a header field of
+    the wrong type or out of range is a data error naming the file and the field."""
     ckpt = load_checkpoint(path)
-    try:
-        return ckpt, MlpArchitecture.from_header(ckpt.arch)
-    except CheckpointFormatError as exc:
-        raise CheckpointFormatError(f"{path}: {exc}") from exc
+    return ckpt, MlpArchitecture.from_header(ckpt.arch, path)
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    data = read_json(path)
-    if not isinstance(data, dict):
-        raise DataFormatError(f"{path}: config file must hold a JSON object")
-    return data
-
-
-def _resolve(args: argparse.Namespace, config: dict, name: str, default):
-    """CLI flag > config file > default."""
+def _resolve(args: argparse.Namespace, config: dict, name: str, kind, default):
+    """CLI flag > config file > default; a config value not of kind (see
+    util.get) is a data error naming the config file and the key."""
     value = getattr(args, name, None)
     if value is not None:
         return value
-    if name in config:
-        return config[name]
-    return default
+    return get(config, args.config, (name,), kind, default)
 
 
 def _out_path(path: str) -> str:
@@ -94,9 +81,11 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def cmd_gen(args, config) -> int:
-    seed = int(_resolve(args, config, "seed", 0))
-    spec_cfg = _load_config_file(args.spec) if args.spec else config.get("spec", {})
-    spec = SuiteSpec.from_dict(spec_cfg) if spec_cfg else SuiteSpec()
+    seed = _resolve(args, config, "seed", int, 0)
+    if args.spec:
+        spec = get_dataclass(SuiteSpec, read_json(args.spec), args.spec)
+    else:  # the config's spec, all defaults when it has none
+        spec = get_dataclass(SuiteSpec, {"spec": {}, **config}, args.config, ("spec",))
     suite = generate(seed, spec)
     save_suite(suite, args.out)
     print(f"suite seed {seed} written to {args.out}")
@@ -109,7 +98,7 @@ def cmd_train(args, config) -> int:
     if role == "task":
         if args.task_index is None:
             raise DawinError("role task needs --task-index")
-        index = int(args.task_index)
+        index = args.task_index
         if not 0 <= index < len(suite.mtl_tasks):
             raise DawinError(f"task index {index} outside 0..{len(suite.mtl_tasks) - 1}")
         base_config = harness.task_config(index)
@@ -122,12 +111,12 @@ def cmd_train(args, config) -> int:
         domain = suite.id_train
 
     cfg = TrainConfig(
-        epochs=int(_resolve(args, config, "epochs", base_config.epochs)),
-        batch_size=int(_resolve(args, config, "batch_size", base_config.batch_size)),
-        learning_rate=float(_resolve(args, config, "learning_rate", base_config.learning_rate)),
-        momentum=float(_resolve(args, config, "momentum", base_config.momentum)),
-        weight_decay=float(_resolve(args, config, "weight_decay", base_config.weight_decay)),
-        seed=int(_resolve(args, config, "train_seed", base_config.seed)),
+        epochs=_resolve(args, config, "epochs", int, base_config.epochs),
+        batch_size=_resolve(args, config, "batch_size", int, base_config.batch_size),
+        learning_rate=_resolve(args, config, "learning_rate", float, base_config.learning_rate),
+        momentum=_resolve(args, config, "momentum", float, base_config.momentum),
+        weight_decay=_resolve(args, config, "weight_decay", float, base_config.weight_decay),
+        seed=_resolve(args, config, "train_seed", int, base_config.seed),
     )
     init = parent = None
     if args.init:
@@ -136,10 +125,9 @@ def cmd_train(args, config) -> int:
     else:
         if role in ("finetune", "task"):
             raise DawinError(f"role {role} fine-tunes from a checkpoint; pass --init")
-        hidden = _resolve(args, config, "hidden_widths", (64, 64))
         arch = MlpArchitecture(
             input_dim=suite.spec.dim,
-            hidden_widths=tuple(int(w) for w in hidden),
+            hidden_widths=_resolve(args, config, "hidden_widths", [int], (64, 64)),
             class_count=suite.spec.class_count,
         )
     ckpt = train(arch, domain.x, domain.y, cfg, init=init, dataset_id=domain.name, parent=parent)
@@ -209,7 +197,7 @@ def cmd_coeffs(args, config) -> int:
 
 def cmd_fit_mixture(args, config) -> int:
     batch = load_coefficients(args.coeffs)
-    k = int(_resolve(args, config, "k", 3))
+    k = _resolve(args, config, "k", int, 3)
     if batch.coefficients.ndim == 1:
         model = em_fit(batch.coefficients, k)
     else:
@@ -224,19 +212,18 @@ def cmd_fit_mixture(args, config) -> int:
 
 def _merge_options(args, config, suite, experts=None) -> MergeOptions:
     temperatures = None
-    if bool(_resolve(args, config, "calibrate", False)):
+    if _resolve(args, config, "calibrate", bool, False):
         if experts is None:
             raise DawinError("--calibrate needs explicit --theta0/--theta1 checkpoints")
         temperatures = tuple(
             calibrate_temperature(experts.arch, theta, suite.id_val.x, suite.id_val.y)
             for theta in (experts.theta0, experts.theta1)
         )
-    batch_size = _resolve(args, config, "batch_size", None)
     return MergeOptions(
-        offset_adjust=bool(_resolve(args, config, "offset", True)),
+        offset_adjust=_resolve(args, config, "offset", bool, True),
         temperatures=temperatures,
-        batch_size=None if batch_size is None else int(batch_size),
-        posterior_membership=bool(_resolve(args, config, "posterior_membership", False)),
+        batch_size=_resolve(args, config, "batch_size", int, None),
+        posterior_membership=_resolve(args, config, "posterior_membership", bool, False),
     )
 
 
@@ -254,13 +241,13 @@ def _experts_from_args(args, suite):
 
 def cmd_eval(args, config) -> int:
     suite = load_suite(args.suite)
-    kinds = args.strategy or config.get("strategies") or ["dawin_sample"]
+    kinds = args.strategy or get(config, args.config, ("strategies",), [str], None)
     overrides = {}
-    for name, convert in (("lam", float), ("grid", tuple), ("k", int), ("lambda0", float)):
-        value = _resolve(args, config, name, None)
+    for name, value_kind in (("lam", float), ("grid", [float]), ("k", int), ("lambda0", float)):
+        value = _resolve(args, config, name, value_kind, None)
         if value is not None:
-            overrides[name] = convert(value)
-    strategies = [MergeStrategy(kind, **overrides) for kind in kinds]
+            overrides[name] = value
+    strategies = [MergeStrategy(kind, **overrides) for kind in kinds or ["dawin_sample"]]
     experts = _experts_from_args(args, suite)
     options = _merge_options(args, config, suite, experts)
     report = harness.run_main(suite, strategies, options=options, experts=experts)
@@ -427,7 +414,7 @@ def main(argv=None) -> int:
         # argparse help/usage paths exit directly; fold them into the int API
         return int(exc.code or 0)
     try:
-        config = _load_config_file(getattr(args, "config", None))
+        config = get(read_json(args.config), args.config, (), dict) if args.config else {}
         return args.func(args, config)
     except DawinError as exc:
         print(f"error: {exc}", file=sys.stderr)

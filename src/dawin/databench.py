@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError
-from .util import atomic_write, read_csv, read_json, substream
+from .util import atomic_write, bad_field, build, get, get_dataclass, read_csv, read_json, substream
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA_VERSION = 1
@@ -126,14 +126,6 @@ class SuiteSpec:
             "n_task_train": self.n_task_train,
             "n_task_test": self.n_task_test,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SuiteSpec":
-        kwargs = dict(data)
-        kwargs["ood_shifts"] = tuple(dict(s) for s in kwargs.get("ood_shifts", ()))
-        kwargs["pretrain_angles"] = tuple(kwargs.get("pretrain_angles", ()))
-        kwargs["task_angles"] = tuple(kwargs.get("task_angles", ()))
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -458,60 +450,43 @@ def save_suite(suite: BenchmarkSuite, directory: str) -> None:
 
 
 def load_suite(directory: str) -> BenchmarkSuite:
-    """The suite that save_suite wrote to directory. A manifest of the wrong
-    shape is a DataFormatError naming the manifest; a bad domain CSV is one
-    naming that CSV."""
-    manifest_path = os.path.join(directory, MANIFEST_NAME)
-    manifest = read_json(manifest_path)
-    try:
-        if manifest["schema_version"] != MANIFEST_SCHEMA_VERSION:
-            raise DataFormatError(
-                f"{manifest_path}: unsupported schema version {manifest['schema_version']!r}"
-            )
-        seed = int(manifest["seed"])
-        spec = SuiteSpec.from_dict(manifest["spec"])
-        roles = dict(manifest["roles"])
-        entries = dict(manifest["domains"])
+    """The suite that save_suite wrote to directory. A manifest field of the
+    wrong type or value is a DataFormatError naming the manifest and the
+    field; a bad domain CSV is one naming that CSV."""
+    path = os.path.join(directory, MANIFEST_NAME)
+    manifest = read_json(path)
+    version = get(manifest, path, ("schema_version",), int)
+    if version != MANIFEST_SCHEMA_VERSION:
+        raise bad_field(path, ("schema_version",), f"unsupported version {version}")
+    spec = get_dataclass(SuiteSpec, manifest, path, ("spec",))
 
-        def role(name: str):
-            if name not in roles:
-                raise DataFormatError(f"{manifest_path}: manifest names no {name!r} role")
-            return roles[name]
+    def load_named(keys: tuple) -> Domain:
+        name = get(manifest, path, keys, str)
+        if name not in get(manifest, path, ("domains",), dict):
+            raise bad_field(path, keys, f"no domains entry {name!r}")
+        entry = ("domains", name)
+        shift_spec = get(manifest, path, (*entry, "shift_spec"), dict)
+        get(manifest, path, (*entry, "shift_spec", "kind"), str)
+        csv_path = os.path.join(directory, get(manifest, path, (*entry, "path"), str))
+        dom = load_domain(csv_path, name, shift_spec)
+        if dom.dim != spec.dim:
+            raise DataFormatError(f"{csv_path}: dimension {dom.dim} does not match spec {spec.dim}")
+        if dom.y.max() >= spec.class_count:
+            raise DataFormatError(f"{csv_path}: label exceeds class count {spec.class_count}")
+        return dom
 
-        def key(entry, what: str, name: str):
-            if not isinstance(entry, dict) or name not in entry:
-                raise DataFormatError(f"{manifest_path}: {what} has no {name!r} key")
-            return entry[name]
-
-        def load_named(name: str) -> Domain:
-            entry = entries.get(name)
-            if entry is None:
-                raise DataFormatError(f"{manifest_path}: manifest lists no domain {name!r}")
-            what = f"domain entry {name!r}"
-            path = os.path.join(directory, key(entry, what, "path"))
-            dom = load_domain(path, name, key(entry, what, "shift_spec"))
-            if dom.dim != spec.dim:
-                raise DataFormatError(f"{path}: dimension {dom.dim} does not match spec {spec.dim}")
-            if dom.y.max() >= spec.class_count:
-                raise DataFormatError(f"{path}: label exceeds class count {spec.class_count}")
-            return dom
-
-        tasks = tuple(
-            TaskSplit(
-                load_named(key(entry, f"mtl_tasks entry {j}", "train")),
-                load_named(key(entry, f"mtl_tasks entry {j}", "test")),
-            )
-            for j, entry in enumerate(manifest.get("mtl_tasks", []))
-        )
-        return BenchmarkSuite(
-            seed=seed,
-            spec=spec,
-            pretrain_mix=load_named(role("pretrain_mix")),
-            id_train=load_named(role("id_train")),
-            id_val=load_named(role("id_val")),
-            id_test=load_named(role("id_test")),
-            ood_tests=tuple(load_named(n) for n in role("ood_tests")),
-            mtl_tasks=tasks,
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataFormatError(f"{manifest_path}: malformed manifest: {exc}") from exc
+    ood_names = get(manifest, path, ("roles", "ood_tests"), list)
+    tasks = get(manifest, path, ("mtl_tasks",), list, [])
+    return build(BenchmarkSuite, dict(
+        seed=get(manifest, path, ("seed",), int),
+        spec=spec,
+        pretrain_mix=load_named(("roles", "pretrain_mix")),
+        id_train=load_named(("roles", "id_train")),
+        id_val=load_named(("roles", "id_val")),
+        id_test=load_named(("roles", "id_test")),
+        ood_tests=tuple(load_named(("roles", "ood_tests", i)) for i in range(len(ood_names))),
+        mtl_tasks=tuple(
+            TaskSplit(load_named(("mtl_tasks", j, "train")), load_named(("mtl_tasks", j, "test")))
+            for j in range(len(tasks))
+        ),
+    ), path, ("domains",))

@@ -62,7 +62,7 @@ from .params import (
     make_task_vector,
     save_checkpoint,
 )
-from .util import atomic_write, read_json
+from .util import atomic_write, build, get, get_dataclass, read_json
 
 SCHEMA_VERSION = 1
 HISTOGRAM_BINS = 50
@@ -237,23 +237,25 @@ class EvalReport:
         }
 
 
-def report_from_dict(data: dict) -> EvalReport:
-    try:
-        report = EvalReport(
-            suite_seed=int(data["suite_seed"]),
-            schema_version=int(data["schema_version"]),
-            config=dict(data.get("config", {})),
-            rows=list(data.get("rows", [])),
-            ood_average=dict(data.get("ood_average", {})),
-            splits=dict(data.get("splits", {})),
-            correlations=dict(data.get("correlations", {})),
-            histograms=dict(data.get("histograms", {})),
-            entropy_bars=dict(data.get("entropy_bars", {})),
-        )
-        report.property_checks = [PropertyCheck(**c) for c in data.get("property_checks", [])]
-        return report
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"malformed report: {exc}") from exc
+def report_from_dict(data: dict, source: str = "<dict>") -> EvalReport:
+    """The report in a JSON document read from source; a field of the wrong
+    type or value is a DataFormatError naming source and the field."""
+    where = f"{source}: malformed report"
+    report = EvalReport(
+        suite_seed=get(data, where, ("suite_seed",), int),
+        schema_version=get(data, where, ("schema_version",), int),
+        rows=get(data, where, ("rows",), [dict], []),
+        **{key: get(data, where, (key,), dict, {}) for key in (
+            "config", "ood_average", "splits", "correlations", "histograms", "entropy_bars")},
+    )
+    for j in range(len(get(data, where, ("property_checks",), list, []))):
+        at = ("property_checks", j)
+        report.property_checks.append(build(PropertyCheck, {
+            key: get(data, where, (*at, key), kind, *default) for key, kind, *default in (
+                ("name", str), ("samples", int), ("violations", int), ("tolerance", float),
+                ("verdict", str), ("measured", float, None))
+        }, where, at))
+    return report
 
 
 def report_signature(report: EvalReport) -> dict:
@@ -294,11 +296,7 @@ def emit_report(report: EvalReport, path: str, format: str = "json") -> None:
 
 
 def load_report(path: str) -> EvalReport:
-    data = read_json(path)
-    try:
-        return report_from_dict(data)
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    return report_from_dict(read_json(path), path)
 
 
 def _ood_average(report: EvalReport, ood_names) -> None:
@@ -854,10 +852,7 @@ def _determinism(ctx: CheckContext) -> list[PropertyCheck]:
     again on a fresh ForwardCache, the specialist through a checkpoint file, and a K = 2 mixture
     through JSON."""
     e, ft, dom = ctx.experts, ctx.experts.finetune, ctx.suite.id_train
-    try:
-        config = TrainConfig(**ft.meta["config"])
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(f"specialist checkpoint meta has no usable 'config' ({exc})") from exc
+    config = get_dataclass(TrainConfig, ft.meta, "specialist checkpoint meta", ("config",))
     retrained = train(e.arch, dom.x, dom.y, config, init=e.theta0, dataset_id=dom.name,
                       parent=e.pretrain)
     rerun = dawin_sample_eval(e.arch, e.theta0, e.theta1, ctx.suite.id_test, ctx.options)

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .errors import DataFormatError, InsufficientSamplesError
-from .util import atomic_write, read_json
+from .errors import InsufficientSamplesError
+from .util import atomic_write, bad_field, get, read_json
 
 VALUE_CLIP = 1e-6
 SHAPE_EPS = 1e-6
@@ -459,36 +459,35 @@ def mixture_to_dict(model: BetaMixtureModel | DirichletMixtureModel) -> dict:
     }
 
 
-def mixture_from_dict(data: dict) -> BetaMixtureModel | DirichletMixtureModel:
-    try:
-        if data.get("schema_version") != MIXTURE_SCHEMA_VERSION:
-            raise DataFormatError(
-                f"unsupported mixture schema version {data.get('schema_version')!r}"
-            )
-        family = data["family"]
-        common = {
-            "loglik_trace": tuple(float(v) for v in data["loglik_trace"]),
-            "converged": bool(data["converged"]),
-            "iterations": int(data["iterations"]),
-            "clip": float(data["clip"]),
-        }
-        if family == "beta":
-            comps = tuple(
-                BetaComponent(a=float(c["a"]), b=float(c["b"]), pi=float(c["pi"]))
-                for c in data["components"]
-            )
-            return BetaMixtureModel(components=comps, **common)
-        if family == "dirichlet":
-            dcomps = tuple(
-                DirichletComponent(
-                    alpha=tuple(float(a) for a in c["alpha"]), pi=float(c["pi"])
-                )
-                for c in data["components"]
-            )
-            return DirichletMixtureModel(components=dcomps, **common)
-        raise DataFormatError(f"unknown mixture family {family!r}")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"malformed mixture payload: {exc}") from exc
+def mixture_from_dict(data: dict, source: str = "<dict>") -> BetaMixtureModel | DirichletMixtureModel:
+    """The mixture in a JSON document read from source; a field of the wrong
+    type or value is a DataFormatError naming source and the field. Keys it
+    does not read, such as the legacy 'seed', are ignored."""
+    where = f"{source}: malformed mixture"
+    version = get(data, where, ("schema_version",), int)
+    if version != MIXTURE_SCHEMA_VERSION:
+        raise bad_field(where, ("schema_version",), f"unsupported version {version}")
+    family = get(data, where, ("family",), str)
+    common = {
+        "loglik_trace": tuple(get(data, where, ("loglik_trace",), [float])),
+        "converged": get(data, where, ("converged",), bool),
+        "iterations": get(data, where, ("iterations",), int),
+        "clip": get(data, where, ("clip",), float),
+    }
+    count = len(get(data, where, ("components",), list))
+    if family == "beta":
+        return BetaMixtureModel(components=tuple(
+            BetaComponent(**{key: get(data, where, ("components", j, key), float)
+                             for key in ("a", "b", "pi")})
+            for j in range(count)
+        ), **common)
+    if family == "dirichlet":
+        return DirichletMixtureModel(components=tuple(
+            DirichletComponent(alpha=tuple(get(data, where, ("components", j, "alpha"), [float])),
+                               pi=get(data, where, ("components", j, "pi"), float))
+            for j in range(count)
+        ), **common)
+    raise bad_field(where, ("family",), f"unknown mixture family {family!r}")
 
 
 def save_mixture(model: BetaMixtureModel | DirichletMixtureModel, path: str) -> None:
@@ -496,8 +495,4 @@ def save_mixture(model: BetaMixtureModel | DirichletMixtureModel, path: str) -> 
 
 
 def load_mixture(path: str) -> BetaMixtureModel | DirichletMixtureModel:
-    data = read_json(path)
-    try:
-        return mixture_from_dict(data)
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    return mixture_from_dict(read_json(path), path)

@@ -6,8 +6,8 @@ flat order is: for each layer in forward order, the weight matrix in row-major
 order followed by its bias vector.
 
 Checkpoint files: magic "DWIN1", a 4-byte little-endian header length, a UTF-8
-JSON header (architecture + training metadata), then the raw little-endian
-float64 payload.
+JSON header (architecture + training metadata, whose config is a TrainConfig),
+then the raw little-endian float64 payload.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import CheckpointFormatError, IncompatibleModelsError
-from .util import atomic_write
+from .util import atomic_write, get, get_dataclass
 
 CHECKPOINT_MAGIC = b"DWIN1"
 
@@ -184,39 +184,38 @@ def mlp_layout_id(
     return f"mlp:d{int(input_dim)}:h{hidden}:{activation}:c{int(class_count)}"
 
 
-def _int_list(values) -> list[int]:
-    if not isinstance(values, (list, tuple)):
-        raise TypeError("expected a list")
-    return [int(w) for w in values]
+def _arch_fields(doc, source: str, keys: tuple = ()) -> dict:
+    """The architecture fields of a checkpoint header's arch at keys of doc,
+    type-checked; their ranges are MlpArchitecture's to check."""
+    return {
+        key: get(doc, source, (*keys, key), kind, error=CheckpointFormatError)
+        for key, kind in (("input_dim", int), ("hidden_widths", [int]),
+                          ("class_count", int), ("activation", str))
+    }
 
 
-# Architecture header fields and the conversion each value must pass.
-_HEADER_ARCH_FIELDS = {
-    "input_dim": int,
-    "hidden_widths": _int_list,
-    "class_count": int,
-    "activation": str,
-}
+@dataclass(frozen=True)
+class TrainConfig:
+    """SGD settings; a checkpoint's meta records the config that trained it."""
 
+    epochs: int = 30
+    batch_size: int = 64
+    learning_rate: float = 0.05
+    momentum: float = 0.9
+    weight_decay: float = 0.0
+    seed: int = 0
 
-def _validate_arch_header(arch: dict) -> dict:
-    """The architecture fields of a checkpoint header, converted; a missing
-    or ill-typed field raises CheckpointFormatError naming the field."""
-    if not isinstance(arch, dict):
-        raise CheckpointFormatError("header field 'arch' must be an object")
-    out = {}
-    for key, convert in _HEADER_ARCH_FIELDS.items():
-        if key not in arch:
-            raise CheckpointFormatError(f"header arch missing key {key!r}")
-        try:
-            out[key] = convert(arch[key])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise CheckpointFormatError(
-                f"header arch field {key!r} has bad value {arch[key]!r}"
-            ) from exc
-    if out["input_dim"] < 1 or out["class_count"] < 2 or any(w < 1 for w in out["hidden_widths"]):
-        raise CheckpointFormatError("header arch has non-positive dimensions")
-    return out
+    def __post_init__(self) -> None:
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be positive")
+        if self.learning_rate <= 0.0:
+            raise ValueError("learning_rate must be positive")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must lie in [0, 1)")
+        if self.weight_decay < 0.0:
+            raise ValueError("weight_decay must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -228,7 +227,7 @@ class Checkpoint:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        arch = _validate_arch_header(self.arch)
+        arch = _arch_fields(self.arch, "checkpoint arch")
         object.__setattr__(self, "arch", arch)
         expected = mlp_param_count(arch["input_dim"], arch["hidden_widths"], arch["class_count"])
         if expected != len(self.payload):
@@ -285,21 +284,11 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointFormatError(f"{path}: truncated header")
     try:
         header = json.loads(blob[offset : offset + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, huge ints, deep nesting
         raise CheckpointFormatError(f"{path}: header is not valid JSON: {exc}") from exc
     offset += header_len
-    if not isinstance(header, dict) or "arch" not in header or "param_count" not in header:
-        raise CheckpointFormatError(f"{path}: header missing required fields")
-    try:
-        arch = _validate_arch_header(header["arch"])
-    except CheckpointFormatError as exc:
-        raise CheckpointFormatError(f"{path}: {exc}") from exc
-    try:
-        declared = int(header["param_count"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CheckpointFormatError(
-            f"{path}: header field 'param_count' has bad value {header['param_count']!r}"
-        ) from exc
+    arch = _arch_fields(header, path, ("arch",))
+    declared = get(header, path, ("param_count",), int, error=CheckpointFormatError)
     payload_bytes = blob[offset:]
     if len(payload_bytes) % 8 != 0 or len(payload_bytes) // 8 != declared:
         raise CheckpointFormatError(
@@ -318,7 +307,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     layout = mlp_layout_id(
         arch["input_dim"], arch["hidden_widths"], arch["class_count"], arch["activation"]
     )
-    meta = header.get("meta", {})
-    if not isinstance(meta, dict):
-        raise CheckpointFormatError(f"{path}: meta must be an object")
+    meta = get(header, path, ("meta",), dict, {}, CheckpointFormatError)
+    if "config" in meta:
+        get_dataclass(TrainConfig, header, path, ("meta", "config"), CheckpointFormatError)
     return Checkpoint(arch=arch, payload=ParamVector(values, layout), meta=meta)

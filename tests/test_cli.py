@@ -13,7 +13,7 @@ import pytest
 from conftest import TINY_SPEC
 from dawin import cli, harness
 from dawin.classifier import MlpArchitecture, forward_batch
-from dawin.databench import load_suite
+from dawin.databench import SuiteSpec, generate, load_suite, save_suite
 from dawin.expertise import (
     COEFF_MODES,
     coeff_multi,
@@ -72,6 +72,15 @@ def test_gen_seed_precedence_config_vs_flag(cli_env, tmp_path):
     out_flag = tmp_path / "from_flag"
     assert cli.main(["gen", "--config", str(cfg), "--seed", "5", "--out", str(out_flag)]) == 0
     assert json.loads((out_flag / "manifest.json").read_text())["seed"] == 5
+
+
+def test_gen_spec_is_a_partial_override(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dim": 8}))
+    assert cli.main(["gen", "--spec", str(spec), "--out", str(tmp_path / "cli")]) == 0
+    save_suite(generate(0, SuiteSpec(dim=8)), tmp_path / "direct")
+    manifest = (tmp_path / "cli" / "manifest.json").read_bytes()
+    assert manifest == (tmp_path / "direct" / "manifest.json").read_bytes()
 
 
 def test_trained_checkpoints_are_loadable(cli_env):
@@ -339,12 +348,11 @@ def test_corrupt_checkpoint_exits_2(cli_env, tmp_path):
     assert code == 2
 
 
-def _with_arch_field(src, dst, key, value):
-    """Copy a checkpoint with one field of its header's arch replaced."""
+def _with_header_field(src, dst, keys, value):
+    """Copy a checkpoint with the field at keys of its header replaced."""
     blob = src.read_bytes()
     (length,) = struct.unpack_from("<I", blob, 5)
-    header = json.loads(blob[9 : 9 + length])
-    header["arch"][key] = value
+    header = _set(json.loads(blob[9 : 9 + length]), keys, value)
     text = json.dumps(header).encode("utf-8")
     dst.write_bytes(blob[:5] + struct.pack("<I", len(text)) + text + blob[9 + length :])
 
@@ -354,7 +362,7 @@ def _with_arch_field(src, dst, key, value):
 )
 def test_bad_checkpoint_header_field_exits_2(cli_env, tmp_path, capsys, key, value):
     bad = tmp_path / "bad.ckpt"
-    _with_arch_field(cli_env["zs"], bad, key, value)
+    _with_header_field(cli_env["zs"], bad, ["arch", key], value)
     capsys.readouterr()
     code = cli.main([
         "eval", "--suite", str(cli_env["suite"]),
@@ -364,6 +372,21 @@ def test_bad_checkpoint_header_field_exits_2(cli_env, tmp_path, capsys, key, val
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and str(bad) in err[0] and repr(key) in err[0], err
+
+
+@pytest.mark.parametrize("value", [{"epochs": "x"}, {"bogus": 1}, 5, None],
+                         ids=["epochs_str", "unknown_key", "int", "null"])
+def test_bad_specialist_train_config_exits_2_before_any_check(cli_env, tmp_path, capsys, value):
+    bad = tmp_path / "ft.ckpt"
+    _with_header_field(cli_env["ft"], bad, ["meta", "config"], value)
+    capsys.readouterr()
+    code = cli.main(["suite", "--suite", str(cli_env["suite"]),
+                     "--theta0", str(cli_env["zs"]), "--theta1", str(bad)])
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and str(bad) in err[0] and "'config'" in err[0], err
+    assert captured.out == ""
 
 
 def test_manifest_missing_role_exits_2(cli_env, tmp_path, capsys):
@@ -623,18 +646,55 @@ def test_eval_bad_grid_is_a_usage_error(cli_env, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize("text", [b"{not json", b"[1, 2]", b'{"seed": 1}\xff'])
+def _innermost_key(doc):
+    key, value = next(iter(doc.items()))
+    return _innermost_key(value) if isinstance(value, dict) and value else key
+
+
+@pytest.mark.parametrize("text", [
+    b"{not json", b"[1, 2]", b'{"seed": 1}\xff',
+    b'{"strategies": 5}', b'{"grid": 5}', b'{"lam": [1]}', b'{"k": "x"}',
+    b'{"batch_size": "x"}', b'{"batch_size": 1.7}', b'{"grid": "0.1,0.2"}',
+    b'{"spec": 5}', b'{"spec": {"dim": "x"}}', b'{"spec": {"bogus": 1}}',
+    b'{"spec": {"ood_shifts": 5}}', b'{"seed": "x"}',
+    b'{"hidden_widths": 5}', b'{"epochs": "x"}',
+])
 def test_bad_config_file_exits_2(cli_env, tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(text)
+    try:
+        doc = json.loads(text)
+        top, key = next(iter(doc)), _innermost_key(doc)
+    except (ValueError, AttributeError):  # not JSON, or not an object
+        top = key = None
+    suite, out = str(cli_env["suite"]), str(tmp_path / "out")
+    reader = {"seed": "gen", "spec": "gen", "hidden_widths": "train", "epochs": "train"}
+    command = {
+        "gen": ["gen", "--out", out],
+        "train": ["train", "--suite", suite, "--role", "pretrain", "--out", out],
+        "eval": ["eval", "--suite", suite, "--out", out],
+    }[reader.get(top, "eval")]
+    capsys.readouterr()
+    code = cli.main([*command, "--config", str(cfg)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and str(cfg) in err[0], err
+    assert key is None or repr(key) in err[0], err
+
+
+def test_config_offset_string_is_rejected(cli_env, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"offset": "no"}))  # bool("no") is True
     capsys.readouterr()
     code = cli.main([
-        "eval", "--suite", str(cli_env["suite"]), "--strategy", "zs",
+        "eval", "--suite", str(cli_env["suite"]), "--theta0", str(cli_env["zs"]),
+        "--theta1", str(cli_env["ft"]), "--strategy", "dawin_sample",
         "--config", str(cfg), "--out", str(tmp_path / "r.json"),
     ])
     err = capsys.readouterr().err.splitlines()
     assert code == 2
-    assert len(err) == 1 and str(cfg) in err[0], err
+    assert len(err) == 1 and str(cfg) in err[0] and "'offset'" in err[0], err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_eval_csv_writes_the_strategy_table(cli_env, tmp_path):

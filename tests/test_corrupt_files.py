@@ -1,11 +1,13 @@
 """Corrupted input files: every reader raises a DawinError whose message
-starts with the file it read, and nothing else.
+starts with the file it read, and nothing else. When a corrupted JSON file
+still parses to an object, an error about it also names one of its fields.
 
 Each case takes one valid file and corrupts it once: a truncation, a flipped
 byte, or, for JSON, a value swapped for one of another type or a deleted key.
 """
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +93,19 @@ def _edited(doc, path, value=None, delete=False) -> bytes:
     return json.dumps(doc).encode()
 
 
+def _names_a_field(message: str, *docs) -> bool:
+    """Whether message names a key of one of docs, quoted, or a list entry."""
+    keys = {key for doc in docs for path in _paths(doc) for key in path if isinstance(key, str)}
+    return any(f"{key!r}" in message for key in keys) or bool(re.search(r"\bentry \d+", message))
+
+
+def _parsed(blob: bytes):
+    try:
+        return json.loads(blob)
+    except ValueError:
+        return None
+
+
 def _flipped(blob: bytes, index: int, mask: int) -> bytes:
     out = bytearray(blob)
     out[index] ^= mask
@@ -126,5 +141,8 @@ def test_corrupt_file_raises_a_dawin_error_naming_it(corpus, kind, data):
         read()
     except DawinError as exc:
         assert str(exc).startswith(str(prefix)), exc
+        doc = _parsed(mutant) if path.suffix == ".json" else None
+        if isinstance(doc, dict) and str(exc).startswith(f"{path}: "):
+            assert _names_a_field(str(exc), json.loads(blob), doc), exc
     finally:
         path.write_bytes(blob)

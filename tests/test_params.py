@@ -185,6 +185,17 @@ def test_bad_magic_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_header_int_over_the_digit_limit_rejected(tmp_path):
+    # json.loads refuses ints of more than 4300 digits with a plain ValueError.
+    import struct
+
+    header = b'{"param_count": 1' + b"0" * 5000 + b"}"
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(b"DWIN1" + struct.pack("<I", len(header)) + header)
+    with pytest.raises(CheckpointFormatError, match=f"^{path}: header is not valid JSON"):
+        load_checkpoint(path)
+
+
 def test_param_count_formula():
     # 3->4->2: (3*4+4) + (4*2+2) = 26
     assert mlp_param_count(3, (4,), 2) == 26
